@@ -2,8 +2,9 @@
 
 Every invocation writes exactly one JSON report to stdout and uses the
 exit code as the machine-readable outcome: 0 for exists / player 0 /
-pass, 1 for the negative outcome, 2 for errors.  Diagnostics go to
-stderr.
+pass, 1 for the negative outcome, 2 for errors.  An internal failure
+is reported like any other error, marked ``"internal": true``.
+Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from .arena import (ArenaError, ColoredArena, ContractError, Edge,
@@ -390,6 +392,14 @@ def main(argv=None) -> int:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)},
                          sort_keys=True))
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # A failed internal check or any other bug is still an error
+        # (exit 2), never a negative answer (exit 1).
+        print(json.dumps({"schema": SCHEMA, "internal": True,
+                          "error": f"{type(exc).__name__}: {exc}"},
+                         sort_keys=True))
+        traceback.print_exc(file=sys.stderr)
         return 2
 
 

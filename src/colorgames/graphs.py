@@ -196,7 +196,7 @@ def build_color_limit_system(arena: ColoredArena, edge_ids: Sequence[int],
                              force_edge: int | None = None) -> LinearSystem:
     """Load system over the given edges: flow conservation per incident
     node, pairwise color balance proportional to the target rates,
-    nonnegativity, and positivity.
+    nonnegativity (as the system's column attribute), and positivity.
 
     Positivity of the total load is encoded as the normalization
     sum(x) = 1 (every other row is homogeneous, so solutions scale); when
@@ -209,46 +209,43 @@ def build_color_limit_system(arena: ColoredArena, edge_ids: Sequence[int],
     edge_ids = list(edge_ids)
     pos = {eid: i for i, eid in enumerate(edge_ids)}
     nvars = len(edge_ids)
-    zero = Fraction(0)
-    system = LinearSystem(nvars)
+    system = LinearSystem(nvars, nonneg=True)
 
-    incident: dict[int, list[Fraction]] = {}
+    incident: dict[int, list[int]] = {}
     for eid in edge_ids:
         e = arena.edges[eid]
         for node in (e.src, e.dst):
-            incident.setdefault(arena.node_index[node], [zero] * nvars)
+            incident.setdefault(arena.node_index[node], [0] * nvars)
     for eid in edge_ids:
         e = arena.edges[eid]
         incident[arena.node_index[e.dst]][pos[eid]] += 1
         incident[arena.node_index[e.src]][pos[eid]] -= 1
     for ni in sorted(incident):
-        system.add(incident[ni], "=", 0)
+        system.add_constraint(_flow_row(incident[ni]))
 
-    total = [Fraction(1)] * nvars
     for a in range(1, arena.k + 1):
         for b in range(a + 1, arena.k + 1):
             l_ab = limit.entry(a, b)
-            coeffs = [-l_ab] * nvars
-            for eid in edge_ids:
-                c = arena.edges[eid].color
-                if c == a:
-                    coeffs[pos[eid]] += 1
-                elif c == b:
-                    coeffs[pos[eid]] -= 1
-            system.add(coeffs, "=", 0)
-
-    for i in range(nvars):
-        unit = [zero] * nvars
-        unit[i] = Fraction(1)
-        system.add(unit, ">=", 0)
+            coeff = {a: 1 - l_ab, b: -1 - l_ab}
+            system.add_constraint(Constraint(tuple(
+                coeff.get(arena.edges[eid].color, -l_ab) for eid in edge_ids),
+                "=", _UNIT[0]))
 
     if force_edge is None:
-        system.add(total, "=", 1)
+        system.add([1] * nvars, "=", 1)
     else:
-        unit = [zero] * nvars
-        unit[pos[force_edge]] = Fraction(1)
+        unit = [0] * nvars
+        unit[pos[force_edge]] = 1
         system.add(unit, ">=", 1)
     return system
+
+
+_UNIT = {v: Fraction(v) for v in (-1, 0, 1)}
+
+
+def _flow_row(net: Sequence[int]) -> Constraint:
+    """Conservation at one node; net entries are -1, 0 or 1."""
+    return Constraint(tuple(_UNIT[v] for v in net), "=", _UNIT[0])
 
 
 class _LimitProblem:
@@ -304,42 +301,37 @@ class _LimitProblem:
     def _build_base_rows(self, retained: set[str]) -> list[Constraint]:
         arena, k = self.arena, self.arena.k
         nvars = len(self.macros)
-        zero = Fraction(0)
         rows: list[Constraint] = []
-        flow: dict[str, list[Fraction]] = {v: [zero] * nvars for v in retained}
+        flow: dict[str, list[int]] = {v: [0] * nvars for v in retained}
         for mi, (src, dst, _, _) in enumerate(self.macros):
             flow[dst][mi] += 1
             flow[src][mi] -= 1
         for v in sorted(retained, key=lambda v: arena.node_index[v]):
-            rows.append(Constraint(tuple(flow[v]), "=", zero))
+            rows.append(_flow_row(flow[v]))
         for a in range(k):
             for b in range(a + 1, k):
-                l_ab = self.limit.rows[a][b]
-                coeffs = []
-                for _, _, chain, counts in self.macros:
-                    coeffs.append(counts[a] - counts[b] - l_ab * len(chain))
-                rows.append(Constraint(tuple(Fraction(c) for c in coeffs),
-                                       "=", zero))
+                # counts_a - counts_b - l_ab * len, over l_ab's denominator
+                p, q = self.limit.rows[a][b].as_integer_ratio()
+                rows.append(Constraint(tuple(
+                    Fraction(q * (counts[a] - counts[b]) - p * len(chain), q)
+                    for _, _, chain, counts in self.macros), "=", _UNIT[0]))
         return rows
 
-    def solve(self, force_edge: int | None = None) -> dict[int, Fraction] | None:
+    def system(self, force_edge: int | None = None) -> LinearSystem:
+        """The contracted load system, normalized like
+        ``build_color_limit_system``."""
         nvars = len(self.macros)
-        zero, one = Fraction(0), Fraction(1)
-        system = LinearSystem(nvars)
-        for row in self._base_rows:
-            system.add_constraint(row)
-        for i in range(nvars):
-            unit = [zero] * nvars
-            unit[i] = one
-            system.add(unit, ">=", 0)
+        system = LinearSystem(nvars, self._base_rows, nonneg=True)
         if force_edge is None:
-            lengths = [Fraction(len(chain)) for _, _, chain, _ in self.macros]
-            system.add(lengths, "=", 1)
+            system.add([len(chain) for _, _, chain, _ in self.macros], "=", 1)
         else:
-            unit = [zero] * nvars
-            unit[self.macro_of[force_edge]] = one
+            unit = [0] * nvars
+            unit[self.macro_of[force_edge]] = 1
             system.add(unit, ">=", 1)
-        result = solve_feasibility(system)
+        return system
+
+    def solve(self, force_edge: int | None = None) -> dict[int, Fraction] | None:
+        result = solve_feasibility(self.system(force_edge))
         if not result.feasible:
             return None
         loads: dict[int, Fraction] = {}

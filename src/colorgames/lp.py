@@ -1,7 +1,8 @@
 """Exact linear feasibility over the rationals.
 
-The solver runs a phase-1 simplex with Bland's pivoting rule on
-Fraction arithmetic: no tolerances, no floating point, guaranteed
+The solver runs a phase-1 simplex with Bland's pivoting rule on integer
+rows (fraction-free, integer-preserving elimination in the style of
+Edmonds and Bareiss): no tolerances, no floating point, guaranteed
 termination under degeneracy.  Only weak relations are supported;
 callers encode strict positivity through a normalization row.
 """
@@ -10,11 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
+from operator import attrgetter
 
 from .arena import ContractError
 
 RELATIONS = ("=", "<=", ">=")
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 @dataclass(frozen=True)
@@ -27,20 +32,48 @@ class Constraint:
         if self.relation not in RELATIONS:
             raise ContractError(f"unknown relation {self.relation!r}")
 
-    def holds(self, x) -> bool:
-        lhs = sum(c * v for c, v in zip(self.coeffs, x) if c)
+    def holds(self, x, den: int = 1) -> bool:
+        """Does the constraint hold at x / den (den > 0)?  Exact for
+        rational x, and free of Fraction arithmetic for integral x."""
+        a, b, _ = self.integer_row
+        lhs = sum(c * v for c, v in zip(a, x) if c)
         if self.relation == "=":
-            return lhs == self.rhs
+            return lhs == b * den
         if self.relation == "<=":
-            return lhs <= self.rhs
-        return lhs >= self.rhs
+            return lhs <= b * den
+        return lhs >= b * den
+
+    @cached_property
+    def integer_row(self) -> tuple[list[int], int, int]:
+        """(s*coeffs, s*rhs, s) for the least s > 0 that makes the
+        coefficients and the right-hand side integral.  Read-only; a list
+        because freed tuples of row length stay in CPython's per-size
+        tuple free lists, which raised peak memory by ~5%."""
+        scale = lcm(self.rhs.denominator, *map(_denominator, self.coeffs))
+        if scale == 1:
+            return list(map(_numerator, self.coeffs)), self.rhs.numerator, 1
+        return ([c.numerator * (scale // c.denominator) for c in self.coeffs],
+                self.rhs.numerator * (scale // self.rhs.denominator), scale)
 
 
 class LinearSystem:
-    """A conjunction of exact linear constraints over m variables."""
+    """A conjunction of exact linear constraints over m variables.
 
-    def __init__(self, num_vars: int, constraints=()):
+    ``nonneg`` marks the columns restricted to x_j >= 0: True or False
+    for every column, or one flag per column.  Sign restrictions carried
+    this way cost no constraint row.
+    """
+
+    def __init__(self, num_vars: int, constraints=(), nonneg=False):
         self.num_vars = num_vars
+        if isinstance(nonneg, bool):
+            self.nonneg = (nonneg,) * num_vars
+        else:
+            self.nonneg = tuple(bool(v) for v in nonneg)
+            if len(self.nonneg) != num_vars:
+                raise ContractError(
+                    f"nonneg has {len(self.nonneg)} flags, system has "
+                    f"{num_vars} variables")
         self.constraints: list[Constraint] = []
         for con in constraints:
             if isinstance(con, Constraint):
@@ -60,9 +93,15 @@ class LinearSystem:
             tuple(Fraction(c) for c in coeffs), relation, Fraction(rhs)))
 
     def satisfied_by(self, x) -> bool:
+        """Exact check of every constraint and nonneg column at a vector
+        of rationals (ints or Fractions)."""
         if len(x) != self.num_vars:
             return False
-        return all(con.holds(x) for con in self.constraints)
+        if any(v < 0 for v, nn in zip(x, self.nonneg) if nn):
+            return False
+        den = lcm(*map(_denominator, x))
+        xs = [v.numerator * (den // v.denominator) for v in x]
+        return all(con.holds(xs, den) for con in self.constraints)
 
 
 @dataclass(frozen=True)
@@ -73,16 +112,24 @@ class FeasibilityResult:
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     """Decide exact feasibility; a Feasible result carries an assignment
-    that satisfies every constraint with zero residual."""
+    that satisfies every constraint with zero residual.
+
+    Each tableau row is a primitive integer vector, meaningful only up to
+    a positive factor: the rational row it stands for is the integer row
+    divided by its entry in the row's basic column.  Ratio tests and
+    reduced-cost signs do not change under positive row scaling, so the
+    pivot sequence is the one a rational tableau would take.
+    """
     m = system.num_vars
 
     # Rows of the form  c*x_j >= 0 (c > 0)  or  c*x_j <= 0 (c < 0)  are
     # absorbed as variable sign restrictions instead of tableau rows.
-    nonneg = [False] * m
+    nonneg = list(system.nonneg)
     rows: list[Constraint] = []
     for con in system.constraints:
-        nz = [(j, c) for j, c in enumerate(con.coeffs) if c != 0]
-        if len(nz) == 1 and con.rhs == 0:
+        a, b, _ = con.integer_row
+        nz = [(j, c) for j, c in enumerate(a) if c]
+        if len(nz) == 1 and b == 0:
             j, c = nz[0]
             if (con.relation == ">=" and c > 0) or (con.relation == "<=" and c < 0):
                 nonneg[j] = True
@@ -102,105 +149,100 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
             ncols += 1
     nstruct = ncols + sum(1 for con in rows if con.relation != "=")
 
-    tableau: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    # Each row starts as its constraint times the lcm of the
+    # constraint's denominators.  Artificial variables get basis
+    # indices from nstruct on but no tableau column: a basic artificial
+    # has zero reduced cost and one that leaves the basis may not
+    # return, so their columns are never read.
+    tableau: list[list[int]] = []
+    rhs: list[int] = []
     basis: list[int] = []
-    zero, one = Fraction(0), Fraction(1)
+    zrow = [0] * nstruct
+    art_scales: list[tuple[int, list[int]]] = []
     slack_at = ncols
     art_at = nstruct
     for con in rows:
-        row = [zero] * (nstruct + len(rows))
-        for j, c in enumerate(con.coeffs):
-            if c:
-                row[pos_col[j]] = Fraction(c)
+        a, b, scale = con.integer_row
+        row = [0] * nstruct
+        for j, v in enumerate(a):
+            if v:
+                row[pos_col[j]] = v
                 if neg_col[j] >= 0:
-                    row[neg_col[j]] = Fraction(-c)
-        b = Fraction(con.rhs)
-        if con.relation == "<=":
-            row[slack_at] = one
-            slack_col = slack_at
-            slack_at += 1
-        elif con.relation == ">=":
-            row[slack_at] = -one
-            slack_col = slack_at
-            slack_at += 1
-        else:
+                    row[neg_col[j]] = -v
+        if con.relation == "=":
             slack_col = -1
+        else:
+            slack_col = slack_at
+            slack_at += 1
+            row[slack_col] = scale if con.relation == "<=" else -scale
         if b < 0:
             row = [-v for v in row]
             b = -b
-        # A slack entering with +1 serves as the initial basic variable;
-        # otherwise the row gets an artificial variable.
-        if slack_col >= 0 and row[slack_col] == 1:
+        # A slack entering with a positive entry serves as the initial
+        # basic variable; otherwise the row gets an artificial variable.
+        if slack_col >= 0 and row[slack_col] > 0:
             basis.append(slack_col)
         else:
-            row[art_at] = one
             basis.append(art_at)
             art_at += 1
-        tableau.append(row)
-        rhs.append(b)
+            art_scales.append((scale, row))
+        g = gcd(b, *row)
+        tableau.append([v // g for v in row] if g > 1 else row)
+        rhs.append(b // g if g > 1 else b)
 
-    width = nstruct + len(rows)
-    artificial = [False] * width
-    for c in range(nstruct, art_at):
-        artificial[c] = True
+    # Phase-1 objective: minimize the sum of artificial variables.  The
+    # reduced-cost row is minus the sum of the artificial rows as
+    # written (each row over its own scale), cleared of denominators.
+    common = lcm(*(scale for scale, _ in art_scales))
+    for scale, row in art_scales:
+        f = common // scale
+        zrow = [z - f * v for z, v in zip(zrow, row)]
+    zrow = _primitive(zrow)
 
-    # Phase-1 objective: minimize the sum of artificial variables.
-    zrow = [zero] * width
-    for i, row in enumerate(tableau):
-        if artificial[basis[i]]:
-            for j in range(width):
-                if row[j]:
-                    zrow[j] -= row[j]
-    for c in range(nstruct, art_at):
-        zrow[c] = zero
-
-    barred = [False] * width  # artificials barred after leaving the basis
-
-    max_iters = 1000 + 50 * (len(rows) + width)
+    max_iters = 1000 + 50 * (2 * len(rows) + nstruct)
     for _ in range(max_iters):
         # Bland: entering column is the smallest index with negative
         # reduced cost.
         enter = -1
-        for j in range(width):
-            if zrow[j] < 0 and not barred[j]:
+        for j, z in enumerate(zrow):
+            if z < 0:
                 enter = j
                 break
         if enter < 0:
             break
-        # Leaving row: minimum ratio, ties by smallest basic variable.
+        # Leaving row: minimum ratio rhs_i / a_i, compared by
+        # cross-multiplying; ties by smallest basic variable.
         leave = -1
-        best = None
         for i, row in enumerate(tableau):
             a = row[enter]
             if a > 0:
-                ratio = rhs[i] / a
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                if leave < 0:
+                    leave, best_b, best_a = i, rhs[i], a
+                    continue
+                lhs, rhs_cmp = rhs[i] * best_a, best_b * a
+                if lhs < rhs_cmp or (lhs == rhs_cmp
+                                     and basis[i] < basis[leave]):
+                    leave, best_b, best_a = i, rhs[i], a
         if leave < 0:
             raise RuntimeError("phase-1 objective unbounded; solver bug")
         _pivot(tableau, rhs, zrow, enter, leave)
-        out = basis[leave]
-        if artificial[out]:
-            barred[out] = True
         basis[leave] = enter
     else:
         raise RuntimeError("simplex exceeded its iteration budget")
 
-    zval = sum(rhs[i] for i in range(len(rows)) if artificial[basis[i]])
-    if zval != 0:
+    if any(rhs[i] for i, c in enumerate(basis) if c >= nstruct):
         return FeasibilityResult(False)
 
-    values = [zero] * width
+    values: dict[int, Fraction] = {}
     for i, c in enumerate(basis):
-        values[c] = rhs[i]
+        if c < ncols:
+            values[c] = Fraction(rhs[i], tableau[i][c])
+    zero = Fraction(0)
     x = []
     for j in range(m):
-        v = values[pos_col[j]]
+        v = values.get(pos_col[j], zero)
         if neg_col[j] >= 0:
-            v -= values[neg_col[j]]
+            v -= values.get(neg_col[j], zero)
         x.append(v)
     assignment = tuple(x)
     if not system.satisfied_by(assignment):
@@ -209,38 +251,49 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     return FeasibilityResult(True, assignment)
 
 
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
 def _pivot(tableau, rhs, zrow, enter, leave):
+    """Eliminate the entering column from every other row with a nonzero
+    there, keeping rows primitive; the pivot row keeps its scale."""
     prow = tableau[leave]
     piv = prow[enter]
-    if piv != 1:
-        inv = 1 / piv
-        for j, v in enumerate(prow):
-            if v:
-                prow[j] = v * inv
-        rhs[leave] *= inv
-    nz = [j for j, v in enumerate(prow) if v]
-    pb = rhs[leave]
+    nz = [(j, p) for j, p in enumerate(prow) if p]
     for i, row in enumerate(tableau):
-        if i == leave:
-            continue
         f = row[enter]
-        if f:
-            for j in nz:
-                row[j] -= f * prow[j]
-            rhs[i] -= f * pb
-    f = zrow[enter]
-    if f:
-        for j in nz:
-            zrow[j] -= f * prow[j]
+        if f and i != leave:
+            _eliminate(row, prow, nz, piv, f)
+            b = piv * rhs[i] - f * rhs[leave]
+            g = gcd(b, *row)
+            if g > 1:
+                row[:] = [v // g for v in row]
+                b //= g
+            rhs[i] = b
+    _eliminate(zrow, prow, nz, piv, zrow[enter])
+    zrow[:] = _primitive(zrow)
+
+
+def _eliminate(row, prow, nz, piv, f):
+    """row <- piv*row - f*prow in place; nz lists prow's nonzeros, which
+    are all a unit pivot has to touch."""
+    if piv == 1:
+        for j, p in nz:
+            row[j] -= f * p
+    else:
+        row[:] = [piv * v - f * p for v, p in zip(row, prow)]
 
 
 def integer_scale(assignment, system: LinearSystem) -> list[int]:
     """Rescale a rational solution of an (up to one normalization row)
     homogeneous system into a nonnegative integer solution.
 
-    Homogeneous constraints are invariant under positive scaling, so
-    multiplying by the least common multiple of the denominators keeps
-    them satisfied exactly.
+    Every entry must be nonnegative, which covers the system's nonneg
+    columns.  Homogeneous constraints are invariant under positive
+    scaling, so multiplying by the least common multiple of the
+    denominators keeps them satisfied exactly.
     """
     inhomogeneous = [con for con in system.constraints if con.rhs != 0]
     if len(inhomogeneous) > 1:
@@ -251,8 +304,8 @@ def integer_scale(assignment, system: LinearSystem) -> list[int]:
         raise ContractError("assignment has negative entries")
     if all(v == 0 for v in values):
         raise ContractError("assignment has no positive entry")
-    scale = lcm(*(v.denominator for v in values)) if values else 1
-    scaled = [int(v * scale) for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
     for con in system.constraints:
         if con.rhs == 0 and not con.holds(scaled):
             raise RuntimeError("scaled solution violates a homogeneous "

@@ -14,8 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from colorgames import (CnfFormula, ColoredArena, Edge, LinearSystem, Node,
-                        FrequencyVector)
+from colorgames import (CnfFormula, ColoredArena, Edge, FeasibilityResult,
+                        FrequencyVector, LinearSystem, Node)
 
 
 # --- Fourier-Motzkin feasibility ------------------------------------------
@@ -25,6 +25,11 @@ def fm_feasible(system: LinearSystem) -> bool:
     """Eliminate variables one by one; feasible iff no contradictory
     constant row remains."""
     rows: list[tuple[tuple[Fraction, ...], Fraction]] = []  # a.x <= b
+    zero = Fraction(0)
+    for j, nonneg in enumerate(system.nonneg):
+        if nonneg:
+            rows.append((tuple(Fraction(-1) if i == j else zero
+                               for i in range(system.num_vars)), zero))
     for con in system.constraints:
         coeffs = tuple(Fraction(c) for c in con.coeffs)
         rhs = Fraction(con.rhs)
@@ -63,6 +68,153 @@ def _dedupe(rows):
         if coeffs not in best or rhs < best[coeffs]:
             best[coeffs] = rhs
     return [(c, b) for c, b in best.items()]
+
+
+# --- reference rational simplex ---------------------------------------------
+
+
+def reference_feasibility(system: LinearSystem) -> FeasibilityResult:
+    """Phase-1 Bland simplex on a dense Fraction tableau, the reference
+    for the package's integer-row solver: both must take the same pivots,
+    so flag and assignment agree exactly."""
+    m = system.num_vars
+    nonneg = list(system.nonneg)
+    rows = []
+    for con in system.constraints:
+        nz = [(j, c) for j, c in enumerate(con.coeffs) if c != 0]
+        if len(nz) == 1 and con.rhs == 0:
+            j, c = nz[0]
+            if (con.relation == ">=" and c > 0) or (con.relation == "<=" and c < 0):
+                nonneg[j] = True
+                continue
+        rows.append(con)
+
+    pos_col = [0] * m
+    neg_col = [-1] * m
+    ncols = 0
+    for j in range(m):
+        pos_col[j] = ncols
+        ncols += 1
+        if not nonneg[j]:
+            neg_col[j] = ncols
+            ncols += 1
+    nstruct = ncols + sum(1 for con in rows if con.relation != "=")
+
+    tableau: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    basis: list[int] = []
+    zero, one = Fraction(0), Fraction(1)
+    slack_at = ncols
+    art_at = nstruct
+    for con in rows:
+        row = [zero] * (nstruct + len(rows))
+        for j, c in enumerate(con.coeffs):
+            if c:
+                row[pos_col[j]] = Fraction(c)
+                if neg_col[j] >= 0:
+                    row[neg_col[j]] = Fraction(-c)
+        b = Fraction(con.rhs)
+        if con.relation == "<=":
+            row[slack_at] = one
+            slack_col = slack_at
+            slack_at += 1
+        elif con.relation == ">=":
+            row[slack_at] = -one
+            slack_col = slack_at
+            slack_at += 1
+        else:
+            slack_col = -1
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+        if slack_col >= 0 and row[slack_col] == 1:
+            basis.append(slack_col)
+        else:
+            row[art_at] = one
+            basis.append(art_at)
+            art_at += 1
+        tableau.append(row)
+        rhs.append(b)
+
+    width = nstruct + len(rows)
+    artificial = [nstruct <= c < art_at for c in range(width)]
+    zrow = [zero] * width
+    for i, row in enumerate(tableau):
+        if artificial[basis[i]]:
+            for j in range(width):
+                if row[j]:
+                    zrow[j] -= row[j]
+    for c in range(nstruct, art_at):
+        zrow[c] = zero
+
+    barred = [False] * width
+    max_iters = 1000 + 50 * (len(rows) + width)
+    for _ in range(max_iters):
+        enter = -1
+        for j in range(width):
+            if zrow[j] < 0 and not barred[j]:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i, row in enumerate(tableau):
+            a = row[enter]
+            if a > 0:
+                ratio = rhs[i] / a
+                if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise RuntimeError("phase-1 objective unbounded")
+        _reference_pivot(tableau, rhs, zrow, enter, leave)
+        out = basis[leave]
+        if artificial[out]:
+            barred[out] = True
+        basis[leave] = enter
+    else:
+        raise RuntimeError("simplex exceeded its iteration budget")
+
+    zval = sum(rhs[i] for i in range(len(rows)) if artificial[basis[i]])
+    if zval != 0:
+        return FeasibilityResult(False)
+    values = [zero] * width
+    for i, c in enumerate(basis):
+        values[c] = rhs[i]
+    x = []
+    for j in range(m):
+        v = values[pos_col[j]]
+        if neg_col[j] >= 0:
+            v -= values[neg_col[j]]
+        x.append(v)
+    return FeasibilityResult(True, tuple(x))
+
+
+def _reference_pivot(tableau, rhs, zrow, enter, leave):
+    prow = tableau[leave]
+    piv = prow[enter]
+    if piv != 1:
+        inv = 1 / piv
+        for j, v in enumerate(prow):
+            if v:
+                prow[j] = v * inv
+        rhs[leave] *= inv
+    nz = [j for j, v in enumerate(prow) if v]
+    pb = rhs[leave]
+    for i, row in enumerate(tableau):
+        if i == leave:
+            continue
+        f = row[enter]
+        if f:
+            for j in nz:
+                row[j] -= f * prow[j]
+            rhs[i] -= f * pb
+    f = zrow[enter]
+    if f:
+        for j in nz:
+            zrow[j] -= f * prow[j]
 
 
 # --- simple cycles and loop-combination search ------------------------------
@@ -245,6 +397,31 @@ def random_system(rng: random.Random, max_vars: int = 4,
     for _ in range(rng.randint(1, max_cons)):
         coeffs = [rng.randint(-5, 5) for _ in range(num_vars)]
         system.add(coeffs, rng.choice(["=", "<=", ">="]), rng.randint(-5, 5))
+    return system
+
+
+def random_rational_system(rng: random.Random, max_vars: int = 5,
+                           max_cons: int = 8) -> LinearSystem:
+    """Mixed relations, rational coefficients and right-hand sides of
+    both signs, a random set of nonneg columns and occasional
+    single-variable sign rows; the remaining columns are free."""
+    num_vars = rng.randint(1, max_vars)
+    system = LinearSystem(num_vars, nonneg=[rng.random() < 0.5
+                                            for _ in range(num_vars)])
+
+    def value():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    for _ in range(rng.randint(1, max_cons)):
+        relation = rng.choice(["=", "<=", ">="])
+        if rng.random() < 0.15:
+            coeffs = [Fraction(0)] * num_vars
+            coeffs[rng.randrange(num_vars)] = Fraction(rng.choice([-2, -1, 1, 3]))
+            system.add(coeffs, relation, 0)
+        else:
+            system.add([value() for _ in range(num_vars)], relation, value())
     return system
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from colorgames import scheduler_arena, simulate_scheduler_policy
+from colorgames import (InternalCheckError, graphs, scheduler_arena,
+                        simulate_scheduler_policy)
 from colorgames.cli import main
 from builders import TWO_LOOPS, build_arena
 from oracles import growing_block_word
@@ -63,7 +64,9 @@ def test_analyze_bad_frequency_vector(two_loops_file, capsys):
                      "--goal", "freq", "--freq", bad])
         captured = capsys.readouterr()
         assert code == 2
-        assert "error" in json.loads(captured.out)
+        report = json.loads(captured.out)
+        assert "error" in report
+        assert "internal" not in report  # a user error, not a bug
 
 
 def test_solve_matches_analyze_without_player1(two_loops_file, capsys):
@@ -245,3 +248,24 @@ def test_verify_fail_exit_code(two_loops_file, tmp_path, capsys):
                            "--prefix", str(prefix), "--bound", "2")
     assert code == 1
     assert report["result"]["pass"] is False
+
+
+@pytest.mark.parametrize("failure", [
+    InternalCheckError("loop set does not match the target rates"),
+    RuntimeError("simplex exceeded its iteration budget"),
+    KeyError("n0"),
+])
+def test_internal_error_is_an_error_not_a_verdict(two_loops_file, capsys,
+                                                  monkeypatch, failure):
+    def broken(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(graphs, "decompose_circulation", broken)
+    code = main(["analyze", "--arena", two_loops_file, "--goal", "balanced"])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)  # exactly one JSON document
+    assert report["internal"] is True
+    assert report["schema"] == 1
+    assert type(failure).__name__ in report["error"]
+    assert "Traceback" in captured.err

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from colorgames import (ContractError, LinearSystem, integer_scale,
-                        solve_feasibility)
-from oracles import fm_feasible, random_system
+from colorgames import (ContractError, FrequencyVector, LinearSystem,
+                        decide_bounded_path, decide_frequency_path,
+                        frequency_to_limit, integer_scale, solve_feasibility)
+from oracles import (fm_feasible, random_connected_arena,
+                     random_rational_system, random_system,
+                     reference_feasibility)
 
 
 def system_of(num_vars, *rows):
@@ -110,3 +113,108 @@ def test_integer_scale_needs_positive_entry():
     system = system_of(1, ([1], "=", 0))
     with pytest.raises(ContractError):
         integer_scale((Fraction(0),), system)
+
+
+# --- integer tableau against the rational reference ---------------------------
+
+
+def test_matches_rational_reference_on_random_systems():
+    # same pivots => same flag and same assignment, not just the same flag
+    rng = random.Random(91)
+    feasible = 0
+    for _ in range(1200):
+        system = random_rational_system(rng)
+        result = solve_feasibility(system)
+        assert result == reference_feasibility(system)
+        feasible += result.feasible
+    assert 200 < feasible < 1000  # both outcomes well represented
+
+
+def test_matches_rational_reference_on_load_systems(monkeypatch):
+    from colorgames import graphs
+    from colorgames.graphs import (_LimitProblem, _component_edge_ids,
+                                   strongly_connected_components)
+    captured = []
+
+    def recording(system):
+        captured.append(system)
+        return solve_feasibility(system)
+
+    monkeypatch.setattr(graphs, "solve_feasibility", recording)
+    rng = random.Random(67)
+    targets = {2: [FrequencyVector.of("1/3", "2/3")],
+               3: [FrequencyVector.of("1/2", "1/3", "1/6")]}
+    for _ in range(60):
+        arena = random_connected_arena(rng, max_nodes=6, max_edges=12)
+        for freq in targets[arena.k] + [FrequencyVector.uniform(arena.k)]:
+            decide_frequency_path(arena, freq)
+            limit = frequency_to_limit(freq)
+            scc = strongly_connected_components(arena)
+            for eids in _component_edge_ids(arena, scc):
+                if eids:
+                    problem = _LimitProblem(arena, eids, limit)
+                    captured.append(problem.system())
+                    captured.extend(problem.system(force_edge=e)
+                                    for e in eids)
+        decide_bounded_path(arena)
+    assert len(captured) > 1000
+    for system in captured:
+        assert all(system.nonneg)
+        assert solve_feasibility(system) == reference_feasibility(system)
+
+
+# --- nonnegativity as a column attribute --------------------------------------
+
+
+def test_nonneg_attribute_solves_like_explicit_unit_rows():
+    rng = random.Random(29)
+    for _ in range(300):
+        # small enough for Fourier-Motzkin on the explicit form
+        source = random_rational_system(rng, max_vars=3, max_cons=5)
+        n = source.num_vars
+        flags = [rng.random() < 0.6 for _ in range(n)]
+        attributed = LinearSystem(n, source.constraints, nonneg=flags)
+        explicit = LinearSystem(n, source.constraints)
+        for j in range(n):
+            if flags[j]:
+                explicit.add([int(i == j) for i in range(n)], ">=", 0)
+        assert solve_feasibility(attributed) == solve_feasibility(explicit)
+        assert fm_feasible(attributed) == fm_feasible(explicit)
+
+
+def test_nonneg_all_columns():
+    system = LinearSystem(2, [([1, 1], "=", 1), ([1, -1], "=", 1)],
+                          nonneg=True)
+    assert system.nonneg == (True, True)
+    assert solve_feasibility(system).assignment == (Fraction(1), Fraction(0))
+    system.add([1, -1], "=", 3)
+    system.add([1, 1], "=", 1)
+    assert not solve_feasibility(system).feasible
+
+
+def test_satisfied_by_rejects_negative_nonneg_entry():
+    system = LinearSystem(2, [([1, 1], "=", 0)], nonneg=[False, True])
+    assert system.satisfied_by((Fraction(0), Fraction(0)))
+    assert system.satisfied_by((Fraction(-1), Fraction(1)))
+    assert not system.satisfied_by((Fraction(1), Fraction(-1)))
+    free = LinearSystem(2, [([1, 1], "=", 0)])
+    assert free.satisfied_by((Fraction(1), Fraction(-1)))
+
+
+def test_nonneg_flags_must_match_arity():
+    with pytest.raises(ContractError):
+        LinearSystem(2, nonneg=[True])
+
+
+def test_integer_scale_on_nonneg_systems():
+    system = LinearSystem(2, [([2, -1], "=", 0), ([1, 1], "=", 1)],
+                          nonneg=True)
+    assert integer_scale((Fraction(1, 3), Fraction(2, 3)), system) == [1, 2]
+    with pytest.raises(ContractError):
+        integer_scale((Fraction(-1, 3), Fraction(-2, 3)), system)
+    with pytest.raises(ContractError):
+        integer_scale((Fraction(0), Fraction(0)), system)
+    twice = LinearSystem(2, [([1, 0], "=", 1), ([0, 1], "=", 2)],
+                         nonneg=True)
+    with pytest.raises(ContractError):
+        integer_scale((Fraction(1), Fraction(2)), twice)
