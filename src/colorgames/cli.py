@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 import traceback
@@ -96,7 +97,8 @@ def _witness_dict(witness) -> dict | None:
 def _emit(report: dict, started: float, code: int) -> int:
     report["schema"] = SCHEMA
     report["timing"] = {"seconds": round(time.monotonic() - started, 6)}
-    print(json.dumps(report, sort_keys=True, indent=2))
+    # flushed here, so that a closed pipe surfaces inside main
+    print(json.dumps(report, sort_keys=True, indent=2), flush=True)
     return code
 
 
@@ -160,6 +162,9 @@ def _access_path(arena: ColoredArena, target: str) -> tuple[Edge, ...]:
 
 
 def _cmd_synth(args, started: float) -> int:
+    n = args.emit_prefix
+    if n < 1:
+        raise CliError("--emit-prefix must be at least 1")
     arena, source = _load_arena_file(args.arena)
     goal = _goal_from_args(args)
     _check_arity(goal, arena)
@@ -174,7 +179,6 @@ def _cmd_synth(args, started: float) -> int:
         report["witness"] = None
         return _emit(report, started, 1)
 
-    n = args.emit_prefix
     if goal.kind == "bounded":
         walk = decision.witness
         access = _access_path(arena, walk.start)
@@ -195,7 +199,7 @@ def _cmd_synth(args, started: float) -> int:
                  else frequency_to_limit(goal.freq))
         schedule = build_schedule(decision.witness, arena)
         prefix = stream(schedule).take(n)
-        deviation = measure_convergence(stream(schedule), n, limit)
+        deviation = measure_convergence(prefix, n, limit)
         report["witness"] = _witness_dict(decision.witness)
         report["stream"] = {"kind": "schedule",
                             "schedule": schedule.to_json_dict()}
@@ -232,7 +236,7 @@ def _cmd_gen(args, started: float) -> int:
         source = {"path": args.dimacs, "sha256": _digest(data)}
     report = raw.to_json_dict()
     # generators emit the arena itself as the single JSON document
-    print(json.dumps(report, sort_keys=True, indent=1))
+    print(json.dumps(report, sort_keys=True, indent=1), flush=True)
     if source:
         print(f"generated from {source['path']}", file=sys.stderr)
     return 0
@@ -386,21 +390,46 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        return _run(args, started)
+    except BrokenPipeError:
+        # The reader of stdout went away (`colorgames ... | head`): write
+        # nothing more there, and point the descriptor at /dev/null so
+        # that the flush at interpreter shutdown cannot raise again.
+        _detach_stdout()
+        print("error: stdout was closed before the report was written",
+              file=sys.stderr)
+        return 2
+
+
+def _run(args, started: float) -> int:
+    try:
         return args.handler(args, started)
     except (ArenaError, ContractError, CliError, DimacsError,
             StrategyBudgetError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)},
-                         sort_keys=True))
+                         sort_keys=True), flush=True)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        raise
     except Exception as exc:
         # A failed internal check or any other bug is still an error
         # (exit 2), never a negative answer (exit 1).
         print(json.dumps({"schema": SCHEMA, "internal": True,
                           "error": f"{type(exc).__name__}: {exc}"},
-                         sort_keys=True))
+                         sort_keys=True), flush=True)
         traceback.print_exc(file=sys.stderr)
         return 2
+
+
+def _detach_stdout() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no descriptor behind stdout, so nothing to redirect
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

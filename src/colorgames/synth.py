@@ -6,6 +6,11 @@ i * c_j times and then moves to the next loop along a fixed connector.
 The connectors are traversed once per round while the loop repetitions
 grow linearly, so their color contribution washes out and the emitted
 path attains the target rates in the limit.
+
+Streams are chained from whole blocks (one loop's repetitions in a
+round, or one connector) and consumed with ``islice``, so emitting and
+counting a prefix runs in C iterators rather than one Python step per
+edge.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from itertools import chain, count, cycle, islice
+from typing import Iterable, Iterator
 
 from .arena import ColoredArena, ContractError, Edge, FinitePath, color_counts
 from .graphs import LimitMatrix, LoopSet, strongly_connected_components
@@ -71,8 +77,7 @@ class PathSchedule:
             raise ContractError("rounds are numbered from 1")
         out: list[Edge] = []
         for loop, c, conn in zip(self.loops, self.coeffs, self.connectors):
-            for _ in range(i * c):
-                out.extend(loop.edges)
+            out.extend(loop.edges * (i * c))
             out.extend(conn)
         return out
 
@@ -112,9 +117,11 @@ class PathStream:
         return next(self._edges)
 
     def take(self, n: int) -> list[Edge]:
-        out = []
-        for _ in range(n):
-            out.append(next(self._edges))
+        if n < 0:
+            raise ContractError("prefix length must not be negative")
+        out = list(islice(self._edges, n))
+        if len(out) < n:
+            raise ContractError("stream ended before the requested prefix")
         return out
 
 
@@ -176,59 +183,58 @@ def _shortest_path(arena: ColoredArena, members: set[str], src: str,
 
 
 def stream(schedule: PathSchedule) -> PathStream:
-    """Lazily emit the infinite path of a schedule, one edge at a time."""
-    def generate() -> Iterator[Edge]:
-        i = 1
-        while True:
-            for loop, c, conn in zip(schedule.loops, schedule.coeffs,
-                                     schedule.connectors):
-                for _ in range(i * c):
-                    yield from loop.edges
-                yield from conn
-            i += 1
-    return PathStream(schedule.start, generate(), schedule=schedule)
+    """Lazily emit the infinite path of a schedule.  Round i is built as
+    one block per loop (its edges repeated i * c times) followed by the
+    loop's connector, so the generator resumes once per block, not once
+    per edge; a block of a prefix of length n holds O(sqrt(n * w)) edges,
+    w being the loop weight."""
+    parts = tuple(zip(schedule.loops, schedule.coeffs, schedule.connectors))
+
+    def blocks() -> Iterator[tuple[Edge, ...]]:
+        for i in count(1):
+            for loop, c, conn in parts:
+                yield loop.edges * (i * c)
+                yield conn
+    return PathStream(schedule.start, chain.from_iterable(blocks()),
+                      schedule=schedule)
 
 
-def measure_convergence(path_stream: PathStream, n: int,
+def measure_convergence(path_stream: Iterable[Edge], n: int,
                         limit: LimitMatrix) -> Fraction:
     """Largest entrywise gap between observed pairwise difference rates
     at prefix length n and the target rates, as an exact rational."""
-    if n < 1:
-        raise ContractError("prefix length must be positive")
-    k = limit.k
-    counts = [0] * k
-    taken = 0
-    for e in path_stream:
-        counts[e.color - 1] += 1
-        taken += 1
-        if taken == n:
-            break
-    if taken < n:
-        raise ContractError("stream ended before the requested prefix")
-    worst = Fraction(0)
-    for a in range(k):
-        for b in range(a + 1, k):
-            gap = abs(Fraction(counts[a] - counts[b], n) - limit.rows[a][b])
-            if gap > worst:
-                worst = gap
-    return worst
+    return convergence_profile(path_stream, [n], limit)[0][1]
 
 
-def convergence_profile(path_stream: PathStream, checkpoints,
+def convergence_profile(path_stream: Iterable[Edge], checkpoints,
                         limit: LimitMatrix) -> list[tuple[int, Fraction]]:
-    """Deviations at several prefix lengths from a single pass."""
+    """Deviations at several prefix lengths from a single pass.  Each
+    segment between two checkpoints is drawn at once and its colors
+    counted in C."""
     marks = sorted(set(checkpoints))
     if not marks or marks[0] < 1:
         raise ContractError("checkpoints must be positive")
     k = limit.k
+    bad_color = f"stream has an edge color outside 1..{k}"
     counts = [0] * k
     out = []
     pos = 0
     it = iter(path_stream)
     for mark in marks:
-        while pos < mark:
-            counts[next(it).color - 1] += 1
-            pos += 1
+        colors = [e.color for e in islice(it, mark - pos)]
+        if len(colors) < mark - pos:
+            raise ContractError("stream ended before the requested prefix")
+        if k < 256:
+            # bytes.count is several times faster than list.count
+            try:
+                colors = bytes(colors)
+            except (TypeError, ValueError):
+                raise ContractError(bad_color) from None
+        counts = [have + colors.count(c)
+                  for c, have in enumerate(counts, 1)]
+        pos = mark
+        if sum(counts) != pos:
+            raise ContractError(bad_color)
         worst = Fraction(0)
         for a in range(k):
             for b in range(a + 1, k):
@@ -267,10 +273,5 @@ def bounded_witness_stream(walk: FinitePath, access: tuple[Edge, ...],
         if spread > bound:
             bound = spread
 
-    def generate() -> Iterator[Edge]:
-        yield from access
-        while True:
-            yield from walk.edges
-
     start = access[0].src if access else walk.start
-    return PathStream(start, generate(), bound=bound)
+    return PathStream(start, chain(access, cycle(walk.edges)), bound=bound)

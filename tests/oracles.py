@@ -13,9 +13,11 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from typing import Iterable, Iterator
 
 from colorgames import (CnfFormula, ColoredArena, Edge, FeasibilityResult,
-                        FrequencyVector, LinearSystem, Node)
+                        FinitePath, FrequencyVector, LimitMatrix,
+                        LinearSystem, Node, PathSchedule)
 
 
 # --- Fourier-Motzkin feasibility ------------------------------------------
@@ -368,6 +370,50 @@ def zero_diff_walk_exists(arena: ColoredArena, max_len: int = 12) -> bool:
                         nxt.add(state)
             frontier = nxt
     return False
+
+
+# --- per-edge streams and convergence -----------------------------------------
+
+
+def reference_stream(schedule: PathSchedule) -> Iterator[Edge]:
+    """The infinite path of a schedule, emitted one edge at a time: the
+    reference for the package's block-built stream."""
+    i = 1
+    while True:
+        for loop, c, conn in zip(schedule.loops, schedule.coeffs,
+                                 schedule.connectors):
+            for _ in range(i * c):
+                yield from loop.edges
+            yield from conn
+        i += 1
+
+
+def reference_bounded_stream(walk: FinitePath,
+                             access: tuple[Edge, ...]) -> Iterator[Edge]:
+    """Access path, then the closed walk forever, one edge at a time."""
+    yield from access
+    while True:
+        yield from walk.edges
+
+
+def reference_profile(edges: Iterable[Edge], marks: list[int],
+                      limit: LimitMatrix) -> list[tuple[int, Fraction]]:
+    """Deviation from the target difference rates at each mark, counted
+    edge by edge."""
+    k = limit.k
+    counts = [0] * k
+    out = []
+    pos = 0
+    it = iter(edges)
+    for mark in sorted(set(marks)):
+        while pos < mark:
+            counts[next(it).color - 1] += 1
+            pos += 1
+        out.append((mark, max(
+            (abs(Fraction(counts[a] - counts[b], pos) - limit.rows[a][b])
+             for a in range(k) for b in range(a + 1, k)),
+            default=Fraction(0))))
+    return out
 
 
 # --- worked example word ----------------------------------------------------

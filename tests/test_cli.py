@@ -1,10 +1,16 @@
 """Command-line surface: exit codes, JSON reports, round trips."""
 
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import colorgames
 from colorgames import (InternalCheckError, graphs, scheduler_arena,
                         simulate_scheduler_policy)
 from colorgames.cli import main
@@ -172,6 +178,32 @@ def test_synth_not_exists(single_color_file, capsys):
     assert "prefix" not in report
 
 
+@pytest.mark.parametrize("goal", [["bounded"], ["balanced"],
+                                  ["freq", "--freq", "2/3,1/3"]])
+@pytest.mark.parametrize("length", ["-3", "0"])
+def test_synth_rejects_empty_prefix_for_every_goal(two_loops_file, capsys,
+                                                   goal, length):
+    code = main(["synth", "--arena", two_loops_file, "--goal", *goal,
+                 "--emit-prefix", length])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)  # exactly one JSON document
+    assert "emit-prefix" in report["error"]
+    assert "internal" not in report
+
+
+def test_synth_deviation_is_measured_on_the_emitted_prefix(two_loops_file,
+                                                           capsys):
+    # the balanced schedule's first-round peak: after "1" the deviation
+    # is 1, after "1 2" it is 0, after "1 2 1" it is 1/3
+    for n, expected in (("1", 1), ("2", 0), ("3", Fraction(1, 3))):
+        code, report = run_cli(capsys, "synth", "--arena", two_loops_file,
+                               "--goal", "balanced", "--emit-prefix", n)
+        assert code == 0
+        assert len(report["prefix"]) == int(n)
+        assert Fraction(report["convergence"]["deviation"]) == expected
+
+
 def test_synth_output_reverifies(two_loops_file, tmp_path, capsys):
     out = tmp_path / "prefix.txt"
     run_cli(capsys, "synth", "--arena", two_loops_file, "--goal", "bounded",
@@ -269,3 +301,43 @@ def test_internal_error_is_an_error_not_a_verdict(two_loops_file, capsys,
     assert report["schema"] == 1
     assert type(failure).__name__ in report["error"]
     assert "Traceback" in captured.err
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_an_error_without_tracebacks(two_loops_file,
+                                                      monkeypatch):
+    stdout, stderr = ClosedPipe(), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    code = main(["analyze", "--arena", two_loops_file, "--goal", "balanced"])
+    assert code == 2
+    assert stdout.writes == 1  # nothing more was written after the failure
+    assert "Traceback" not in stderr.getvalue()
+    assert "stdout was closed" in stderr.getvalue()
+
+
+def test_closed_stdout_pipe_in_a_process(two_loops_file):
+    # the reading end is closed before the child writes its report
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(colorgames.__file__).resolve().parent.parent))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "colorgames.cli", "synth", "--arena",
+         two_loops_file, "--goal", "bounded", "--emit-prefix", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert "stdout was closed" in err

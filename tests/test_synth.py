@@ -1,18 +1,23 @@
 """Schedules and streams: construction, emission order, convergence."""
 
+import random
+from collections import deque
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from colorgames import (ContractError, FinitePath, FrequencyVector,
+from colorgames import (ContractError, Edge, FinitePath, FrequencyVector,
                         LimitMatrix, LoopSet, PathStream,
                         bounded_witness_stream, build_schedule,
                         convergence_profile, decide_balanced_path,
                         decide_bounded_path, decide_frequency_path,
                         diff_matrix, frequency_to_limit, measure_convergence,
-                        stream)
+                        stream, strongly_connected_components)
 from builders import TWO_LOOPS, build_arena
-from oracles import growing_block_word
+from oracles import (enumerate_simple_cycles, growing_block_word,
+                     random_connected_arena, reference_bounded_stream,
+                     reference_profile, reference_stream)
 
 
 def two_loop_schedule(freq=None):
@@ -195,3 +200,168 @@ def test_bounded_stream_rejects_unbalanced_walk():
     arena = build_arena(2, [("u", 1, "u"), ("u", 2, "u")])
     with pytest.raises(ContractError):
         bounded_witness_stream(FinitePath([arena.edges[0]]), (), 2)
+
+
+# --- differential tests against the per-edge reference streams ----------------
+
+
+def seeded_schedules(seed: int, count: int):
+    """Schedules over one to three simple cycles (each rotated to a
+    random start) of one component of a seeded random arena, with
+    coefficients 1..3."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        arena = random_connected_arena(rng, max_nodes=5, max_edges=9)
+        scc = strongly_connected_components(arena)
+        groups: dict[int, list[FinitePath]] = {}
+        for ids in enumerate_simple_cycles(arena):
+            r = rng.randrange(len(ids))
+            loop = FinitePath(arena.edges[i] for i in ids[r:] + ids[:r])
+            groups.setdefault(scc.comp_of[loop.start], []).append(loop)
+        if not groups:
+            continue
+        loops = rng.choice(list(groups.values()))
+        picked = rng.sample(loops, rng.randint(1, min(3, len(loops))))
+        loop_set = LoopSet(tuple((p, rng.randint(1, 3)) for p in picked))
+        out.append((arena, build_schedule(loop_set, arena)))
+    return out
+
+
+def access_path(arena, target: str) -> tuple[Edge, ...]:
+    parent = {arena.initial: None}
+    queue = deque([arena.initial])
+    while queue:
+        u = queue.popleft()
+        for eid in arena.out_edge_ids(u):
+            e = arena.edges[eid]
+            if e.dst not in parent:
+                parent[e.dst] = e
+                queue.append(e.dst)
+    path = []
+    while target != arena.initial:
+        path.append(parent[target])
+        target = parent[target].src
+    return tuple(reversed(path))
+
+
+def random_limit(rng: random.Random, k: int) -> LimitMatrix:
+    weights = [rng.randint(0, 4) for _ in range(k)]
+    weights[rng.randrange(k)] += 1
+    total = sum(weights)
+    return LimitMatrix.from_frequencies(
+        FrequencyVector(tuple(Fraction(w, total) for w in weights)))
+
+
+def test_stream_matches_reference_at_round_boundaries():
+    rng = random.Random(41)
+    for _, sched in seeded_schedules(41, 40):
+        lengths = {sched.boundary(i) + d for i in range(1, 7)
+                   for d in (-1, 0, 1)}
+        lengths |= {0, 1, rng.randint(2, 3000)}
+        ref = list(islice(reference_stream(sched), max(lengths)))
+        for n in sorted(lengths):
+            assert stream(sched).take(n) == ref[:n]
+
+
+def test_stream_takes_in_pieces_match_reference():
+    # consecutive takes end inside blocks, so each resumes mid-block
+    rng = random.Random(42)
+    for _, sched in seeded_schedules(42, 40):
+        path_stream = stream(sched)
+        pieces = [rng.randint(0, 60) for _ in range(40)]
+        got = [e for n in pieces for e in path_stream.take(n)]
+        assert got == list(islice(reference_stream(sched), sum(pieces)))
+        assert next(path_stream) == next(islice(
+            reference_stream(sched), sum(pieces), None))
+
+
+def test_round_edges_match_reference_rounds():
+    for _, sched in seeded_schedules(43, 20):
+        ref = list(islice(reference_stream(sched), sched.boundary(5)))
+        for i in range(1, 6):
+            assert sched.round_edges(i) == \
+                ref[sched.boundary(i - 1):sched.boundary(i)]
+
+
+def test_bounded_stream_matches_reference():
+    rng = random.Random(44)
+    checked = with_access = 0
+    while checked < 30:
+        arena = random_connected_arena(rng, max_nodes=4, max_edges=7)
+        decision = decide_bounded_path(arena)
+        if not decision.exists:
+            continue
+        walk = decision.witness
+        access = access_path(arena, walk.start)
+        n = rng.randint(0, 500)
+        for acc in {(), access}:
+            got = bounded_witness_stream(walk, acc, arena.k).take(n)
+            assert got == list(islice(reference_bounded_stream(walk, acc), n))
+        checked += 1
+        with_access += bool(access)
+    assert with_access > 0
+
+
+def test_convergence_profile_matches_per_edge_recount():
+    rng = random.Random(45)
+    for arena, sched in seeded_schedules(45, 30):
+        limit = random_limit(rng, arena.k)
+        n = rng.randint(1, 4000)
+        marks = [rng.randint(1, n) for _ in range(rng.randint(1, 8))]
+        marks += [sched.boundary(1), n]
+        ref = reference_profile(reference_stream(sched), marks, limit)
+        assert convergence_profile(stream(sched), marks, limit) == ref
+        prefix = stream(sched).take(max(marks))
+        assert convergence_profile(prefix, marks, limit) == ref
+        assert measure_convergence(stream(sched), n, limit) == \
+            reference_profile(prefix, [n], limit)[0][1]
+
+
+@pytest.mark.parametrize("k", [2, 5, 255, 256])
+def test_convergence_profile_counts_every_color(k):
+    # colors that fit in a byte and colors that do not are counted alike
+    rng = random.Random(46 + k)
+    edges = [Edge("u", rng.choice((1, k, rng.randint(1, k))), "u")
+             for _ in range(3000)]
+    limit = LimitMatrix.zero(k) if k > 5 else random_limit(rng, k)
+    marks = sorted(rng.sample(range(1, 3001), 3))
+    assert convergence_profile(edges, marks, limit) == \
+        reference_profile(edges, marks, limit)
+
+
+def test_short_stream_raises_contract_error():
+    edges = [Edge("u", 1 + i % 2, "u") for i in range(5)]
+    with pytest.raises(ContractError):
+        PathStream("u", iter(edges)).take(6)
+    with pytest.raises(ContractError):
+        convergence_profile(PathStream("u", iter(edges)), [2, 6],
+                            LimitMatrix.zero(2))
+    with pytest.raises(ContractError):
+        measure_convergence(edges, 6, LimitMatrix.zero(2))
+    assert PathStream("u", iter(edges)).take(5) == edges
+
+
+@pytest.mark.parametrize("k", [2, 256])
+@pytest.mark.parametrize("bad", [0, "k+1", None])
+def test_color_outside_palette_raises_contract_error(k, bad):
+    color = k + 1 if bad == "k+1" else bad
+    edges = [Edge("u", 1, "u"), Edge("u", color, "u"), Edge("u", 2, "u")]
+    limit = LimitMatrix.zero(k)
+    with pytest.raises(ContractError):
+        convergence_profile(edges, [3], limit)
+    with pytest.raises(ContractError):
+        measure_convergence(edges, 2, limit)
+    # the prefix before the bad edge is still measured
+    assert measure_convergence(edges, 1, limit) == 1
+
+
+def test_negative_take_and_empty_marks_raise_contract_error():
+    _, sched = two_loop_schedule()
+    with pytest.raises(ContractError):
+        stream(sched).take(-1)
+    with pytest.raises(ContractError):
+        measure_convergence(stream(sched), 0, LimitMatrix.zero(2))
+    with pytest.raises(ContractError):
+        convergence_profile(stream(sched), [], LimitMatrix.zero(2))
+    assert stream(sched).take(0) == []
