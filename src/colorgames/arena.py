@@ -17,6 +17,15 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 
+# Input limits.  Work and memory grow with k (k x k rate matrices, one
+# balance row per color pair) and with the k - 1 fresh nodes that each
+# uncolored edge expands into, so a file of a few hundred bytes could
+# otherwise ask for millions of nodes.  Both are checked before anything
+# of that size is allocated.
+MAX_COLORS = 256
+MAX_CHAIN_NODES = 100_000
+
+
 class ArenaError(Exception):
     """Base class for arena file problems."""
 
@@ -100,6 +109,9 @@ class _ArenaBase:
     def _validate(self, allow_uncolored: bool) -> None:
         if self.k < 1:
             raise ValidationError(f"color count k must be >= 1, got {self.k}")
+        if self.k > MAX_COLORS:
+            raise ValidationError(
+                f"color count k = {self.k} exceeds the limit {MAX_COLORS}")
         seen: set[str] = set()
         for nd in self.nodes:
             if nd.id in seen:
@@ -163,8 +175,14 @@ def desugar_uncolored(raw: RawArena) -> ColoredArena:
 
     A full chain traversal adds one occurrence of every color, so the
     expansion never disturbs color differences at chain boundaries.
+    More than ``MAX_CHAIN_NODES`` fresh nodes is a ``ValidationError``.
     """
     k = raw.k
+    fresh_nodes = (k - 1) * sum(1 for e in raw.edges if e.color is None)
+    if fresh_nodes > MAX_CHAIN_NODES:
+        raise ValidationError(
+            f"expanding the uncolored edges needs {fresh_nodes} chain nodes, "
+            f"more than the limit {MAX_CHAIN_NODES}")
     used = {nd.id for nd in raw.nodes}
     nodes = list(raw.nodes)
     edges: list[Edge] = []

@@ -31,6 +31,11 @@ from .synth import (bounded_witness_stream, build_schedule,
 
 SCHEMA = 1
 
+# A synth report inlines at most this many prefix edges; a longer prefix
+# goes to --prefix-out only, since encoding it as JSON costs time and
+# memory linear in its length.
+MAX_INLINE_PREFIX = 10_000
+
 
 class CliError(Exception):
     pass
@@ -165,6 +170,9 @@ def _cmd_synth(args, started: float) -> int:
     n = args.emit_prefix
     if n < 1:
         raise CliError("--emit-prefix must be at least 1")
+    if n > MAX_INLINE_PREFIX and not args.prefix_out:
+        raise CliError(f"--emit-prefix above {MAX_INLINE_PREFIX} needs "
+                       "--prefix-out")
     arena, source = _load_arena_file(args.arena)
     goal = _goal_from_args(args)
     _check_arity(goal, arena)
@@ -206,11 +214,13 @@ def _cmd_synth(args, started: float) -> int:
         report["convergence"] = {"prefix_length": n,
                                  "deviation": str(deviation)}
         ok = True
-    report["prefix"] = [e.triple() for e in prefix]
+    if n <= MAX_INLINE_PREFIX:
+        report["prefix"] = [e.triple() for e in prefix]
     if args.prefix_out:
         with open(args.prefix_out, "w", encoding="utf-8") as fh:
             for e in prefix:
                 fh.write(f"{e.src} {e.color} {e.dst}\n")
+        report["prefix_out"] = {"path": args.prefix_out, "length": n}
     return _emit(report, started, 0 if ok else 2)
 
 
@@ -364,9 +374,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="emit a witness schedule and prefix")
     p.add_argument("--arena", required=True)
     add_goal(p)
-    p.add_argument("--emit-prefix", type=int, default=1000, metavar="N")
+    p.add_argument("--emit-prefix", type=int, default=1000, metavar="N",
+                   help=f"prefix length; inlined in the report up to "
+                        f"{MAX_INLINE_PREFIX} edges")
     p.add_argument("--prefix-out", metavar="FILE",
-                   help="also write the prefix as 'src color dst' lines")
+                   help="also write the prefix as 'src color dst' lines "
+                        f"(required above {MAX_INLINE_PREFIX} edges)")
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("gen", help="generate fixture arenas")

@@ -19,10 +19,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .arena import (ColoredArena, ContractError, FinitePath, FrequencyVector,
                     color_counts)
+# integer_scale is not called here; it stays importable because
+# perfbench's tracer wraps graphs.integer_scale by name
 from .lp import Constraint, LinearSystem, integer_scale, solve_feasibility
 
 
@@ -278,7 +281,6 @@ class _LimitProblem:
         if not retained:
             retained = {min(nodes, key=lambda v: arena.node_index[v])}
         self.macros: list[tuple[str, str, tuple[int, ...], tuple[int, ...]]] = []
-        self.macro_of: dict[int, int] = {}
         for eid in self.edge_ids:
             e = arena.edges[eid]
             if e.src not in retained:
@@ -292,10 +294,7 @@ class _LimitProblem:
             counts = [0] * k
             for ce in chain:
                 counts[arena.edges[ce].color - 1] += 1
-            mi = len(self.macros)
             self.macros.append((e.src, v, tuple(chain), tuple(counts)))
-            for ce in chain:
-                self.macro_of[ce] = mi
         self._base_rows = self._build_base_rows(retained)
 
     def _build_base_rows(self, retained: set[str]) -> list[Constraint]:
@@ -317,28 +316,40 @@ class _LimitProblem:
                     for _, _, chain, counts in self.macros), "=", _UNIT[0]))
         return rows
 
-    def system(self, force_edge: int | None = None) -> LinearSystem:
-        """The contracted load system, normalized like
-        ``build_color_limit_system``."""
+    def system(self, cover: set[int] | None = None) -> LinearSystem:
+        """The contracted load system.  Without ``cover`` it is normalized
+        like ``build_color_limit_system``; with a set of macro indices the
+        row sum_{m in cover} y_m >= 1 is emitted instead."""
         nvars = len(self.macros)
         system = LinearSystem(nvars, self._base_rows, nonneg=True)
-        if force_edge is None:
+        if cover is None:
             system.add([len(chain) for _, _, chain, _ in self.macros], "=", 1)
         else:
-            unit = [0] * nvars
-            unit[self.macro_of[force_edge]] = 1
-            system.add(unit, ">=", 1)
+            system.add([int(mi in cover) for mi in range(nvars)], ">=", 1)
         return system
 
-    def solve(self, force_edge: int | None = None) -> dict[int, Fraction] | None:
-        result = solve_feasibility(self.system(force_edge))
+    def solve(self, cover: set[int] | None = None) -> list[int] | None:
+        """Primitive integer macro loads of a feasible solution, or None.
+
+        The assignment is scaled by the lcm of its denominators, which
+        keeps every homogeneous row satisfied.  Under the normalization
+        row that vector is already primitive, so witnesses are those of
+        the rational solution scaled once.
+        """
+        result = solve_feasibility(self.system(cover))
         if not result.feasible:
             return None
-        loads: dict[int, Fraction] = {}
-        for mi, (_, _, chain, _) in enumerate(self.macros):
-            for eid in chain:
-                loads[eid] = result.assignment[mi]
-        return loads
+        scale = lcm(*(v.denominator for v in result.assignment))
+        loads = [v.numerator * (scale // v.denominator)
+                 for v in result.assignment]
+        g = gcd(*loads)
+        return [v // g for v in loads] if g > 1 else loads
+
+    def expand(self, macro_loads: Sequence[int]) -> dict[int, int]:
+        """Per-edge loads, each chain edge carrying its macro's load;
+        zero loads are left out."""
+        return {eid: v for (_, _, chain, _), v in zip(self.macros, macro_loads)
+                if v for eid in chain}
 
 
 # --- circulations, loops, walks ---------------------------------------------
@@ -638,14 +649,11 @@ def _compute_limit_path(arena: ColoredArena, limit: LimitMatrix) -> GraphDecisio
     for ci in _component_order(arena, scc):
         if not scc.reachable[ci] or not buckets[ci]:
             continue
-        eids = sorted(buckets[ci])
-        problem = _LimitProblem(arena, eids, limit)
+        problem = _LimitProblem(arena, buckets[ci], limit)
         loads = problem.solve()
         if loads is None:
             continue
-        system = build_color_limit_system(arena, eids, limit)
-        scaled = integer_scale([loads[eid] for eid in eids], system)
-        circ = Circulation({eid: v for eid, v in zip(eids, scaled) if v})
+        circ = Circulation(problem.expand(loads))
         loop_set = replace(decompose_circulation(arena, circ), scc=ci)
         if not loop_ratio_matches(loop_set, limit):
             raise InternalCheckError("loop set does not match the target "
@@ -753,8 +761,16 @@ def _compute_bounded_path(arena: ColoredArena) -> GraphDecision:
 
 def _zero_diff_component_walk(arena, edge_ids, zero):
     """Support pruning: an edge survives iff some zero-difference
-    circulation over the current edges gives it positive load.  The
-    surviving set shrinks strictly each round, so at most |E| rounds."""
+    circulation over the current edges gives it positive load.
+
+    Per group, each solve carries one cover row over the chains no
+    solution has loaded yet, so a feasible solve loads at least one of
+    them and an infeasible one prunes all of them: at most (surviving
+    chains + 1) solves per group and round.  The surviving set shrinks
+    strictly each round, so at most |E| rounds.  When every chain of a
+    group is loaded, the sum of the round's solutions is a full-support
+    zero-difference circulation and its Eulerian circuit is the walk.
+    """
     current = list(edge_ids)
     for _ in range(len(edge_ids) + 1):
         if not current:
@@ -762,47 +778,22 @@ def _zero_diff_component_walk(arena, edge_ids, zero):
         new_current: list[int] = []
         for group in _edge_groups_by_scc(arena, current):
             problem = _LimitProblem(arena, group, zero)
-            survivors = _surviving_edges(group, problem)
-            if len(survivors) == len(group):
-                return _euler_witness(arena, group, zero, problem)
+            uncovered = set(range(len(problem.macros)))
+            total = [0] * len(problem.macros)
+            while uncovered:
+                loads = problem.solve(cover=uncovered)
+                if loads is None:
+                    break
+                for mi, v in enumerate(loads):
+                    if v:
+                        total[mi] += v
+                        uncovered.discard(mi)
+            survivors = problem.expand(total)
+            if not uncovered:
+                return eulerian_circuit(arena, Circulation(survivors))
             new_current.extend(survivors)
         current = sorted(new_current)
     raise InternalCheckError("support pruning failed to converge")
-
-
-def _surviving_edges(group, problem) -> set[int]:
-    survivors: set[int] = set()
-    base = problem.solve()
-    if base is None:
-        return survivors
-    survivors.update(eid for eid, v in base.items() if v > 0)
-    for eid in group:
-        if eid in survivors:
-            continue
-        sol = problem.solve(force_edge=eid)
-        if sol is not None:
-            survivors.update(e for e, v in sol.items() if v > 0)
-    return survivors
-
-
-def _euler_witness(arena, group, zero, problem) -> FinitePath:
-    total = {eid: 0 for eid in group}
-    for eid in group:
-        if total[eid] > 0:
-            continue
-        loads = problem.solve(force_edge=eid)
-        if loads is None:
-            raise InternalCheckError("edge of a fixpoint component lost "
-                                     "feasibility")
-        system = build_color_limit_system(arena, group, zero, force_edge=eid)
-        scaled = integer_scale([loads[e] for e in group], system)
-        for e, v in zip(group, scaled):
-            total[e] += v
-    circ = Circulation({e: v for e, v in total.items() if v})
-    if set(circ.loads) != set(group):
-        raise InternalCheckError("witness circulation misses edges of the "
-                                 "fixpoint component")
-    return eulerian_circuit(arena, circ)
 
 
 def _edge_groups_by_scc(arena, edge_ids) -> list[list[int]]:

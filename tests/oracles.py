@@ -2,9 +2,10 @@
 
 Nothing in here calls into the package's solvers: feasibility is decided
 by Fourier-Motzkin elimination, loop combinations by explicit coefficient
-search over enumerated simple cycles, and bounded walks by state-space
-search.  These deliberately reimplement the math so that agreement is
-meaningful.
+search over enumerated simple cycles, bounded walks by state-space
+search, and bounded support by forced-edge pruning on the unreduced
+per-edge system.  These deliberately reimplement the math so that
+agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Iterable, Iterator
 
 from colorgames import (CnfFormula, ColoredArena, Edge, FeasibilityResult,
                         FinitePath, FrequencyVector, LimitMatrix,
-                        LinearSystem, Node, PathSchedule)
+                        LinearSystem, Node, PathSchedule,
+                        build_color_limit_system)
 
 
 # --- Fourier-Motzkin feasibility ------------------------------------------
@@ -372,6 +374,93 @@ def zero_diff_walk_exists(arena: ColoredArena, max_len: int = 12) -> bool:
     return False
 
 
+# --- bounded support pruning by forced edges ---------------------------------
+
+
+def _reach_from(succ: dict[str, set[str]], start: str) -> set[str]:
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in succ.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _strong_groups(arena: ColoredArena, edge_ids) -> list[list[int]]:
+    """Edges inside one strongly connected component of the subgraph the
+    given edges span, one group per component, ordered by smallest edge."""
+    succ: dict[str, set[str]] = {}
+    for eid in edge_ids:
+        e = arena.edges[eid]
+        succ.setdefault(e.src, set()).add(e.dst)
+    reach = {v: _reach_from(succ, v) for v in succ}
+    groups: dict[frozenset, list[int]] = {}
+    for eid in sorted(edge_ids):
+        e = arena.edges[eid]
+        if e.src in reach.get(e.dst, ()):
+            comp = frozenset(w for w in reach[e.src]
+                             if e.src in reach.get(w, ()))
+            groups.setdefault(comp, []).append(eid)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
+def reference_surviving_edges(arena: ColoredArena, group) -> set[int]:
+    """Edges of the group that carry load in some zero-difference
+    circulation over the group: one normalized solve, then one solve
+    with x_e >= 1 for each edge that no solution has loaded yet, all on
+    the per-edge system and decided by the rational reference solver."""
+    group = sorted(group)
+    zero = LimitMatrix.zero(arena.k)
+    survivors: set[int] = set()
+    base = reference_feasibility(build_color_limit_system(arena, group, zero))
+    if not base.feasible:
+        return survivors
+    survivors.update(e for e, v in zip(group, base.assignment) if v > 0)
+    for eid in group:
+        if eid in survivors:
+            continue
+        forced = reference_feasibility(build_color_limit_system(
+            arena, group, zero, force_edge=eid))
+        if forced.feasible:
+            survivors.update(e for e, v in zip(group, forced.assignment)
+                             if v > 0)
+    return survivors
+
+
+def reference_zero_diff_support(arena: ColoredArena
+                                ) -> tuple[bool, frozenset[int]]:
+    """Bounded-goal support pruning by forced edges: per reachable
+    strongly connected component, smallest node first, prune to the
+    surviving edges, regroup and repeat until a group keeps every edge.
+
+    Returns the verdict and the edge ids of that first self-supporting
+    group (empty when there is none).
+    """
+    succ: dict[str, set[str]] = {}
+    for e in arena.edges:
+        succ.setdefault(e.src, set()).add(e.dst)
+    reachable = _reach_from(succ, arena.initial)
+    comps: list[frozenset[str]] = []
+    for v in sorted(reachable, key=lambda v: arena.node_index[v]):
+        if not any(v in c for c in comps):
+            comps.append(frozenset(w for w in _reach_from(succ, v)
+                                   if v in _reach_from(succ, w)))
+    for comp in comps:
+        current = [eid for eid, e in enumerate(arena.edges)
+                   if e.src in comp and e.dst in comp]
+        while current:
+            new_current: list[int] = []
+            for group in _strong_groups(arena, current):
+                survivors = reference_surviving_edges(arena, group)
+                if len(survivors) == len(group):
+                    return True, frozenset(group)
+                new_current.extend(survivors)
+            current = sorted(new_current)
+    return False, frozenset()
+
+
 # --- per-edge streams and convergence -----------------------------------------
 
 
@@ -497,6 +586,36 @@ def random_connected_arena(rng: random.Random, max_nodes: int = 5,
     return ColoredArena(
         k, nodes, names[0],
         [Edge(names[s], c, names[d]) for s, c, d in edges])
+
+
+def random_pruning_arena(rng: random.Random) -> ColoredArena:
+    """One-player arena for bounded support pruning: a random connected
+    core with extra and duplicated (parallel) edges, some of them
+    subdivided into unbranching chains through fresh nodes."""
+    k = rng.choice((2, 3))
+    n = rng.randint(2, 6)
+    names = [f"n{i}" for i in range(n)]
+    triples = [(rng.randrange(i), rng.randint(1, k), i) for i in range(1, n)]
+    for i in range(n):
+        if not any(src == i for src, _, _ in triples):
+            triples.append((i, rng.randint(1, k), rng.randrange(n)))
+    for _ in range(rng.randint(1, 2 * n)):
+        triples.append((rng.randrange(n), rng.randint(1, k),
+                        rng.randrange(n)))
+    for _ in range(rng.randint(0, 2)):
+        triples.append(rng.choice(triples))
+    nodes = [Node(nm, 0) for nm in names]
+    edges: list[Edge] = []
+    for s, c, d in triples:
+        src = names[s]
+        if rng.random() < 0.3:
+            for _ in range(rng.randint(1, 2)):
+                mid = f"c{len(nodes)}"
+                nodes.append(Node(mid, 0))
+                edges.append(Edge(src, rng.randint(1, k), mid))
+                src = mid
+        edges.append(Edge(src, c, names[d]))
+    return ColoredArena(k, nodes, names[0], edges)
 
 
 def random_formula(rng: random.Random, max_vars: int = 4,

@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from colorgames import arena as arena_module
 from colorgames import (ContractError, DiffMatrix, Edge, FinitePath,
                         FrequencyVector, Goal, Node, RawArena,
                         ValidationError, color_counts, desugar_uncolored,
                         diff_matrix, load_arena, prefix_frequencies,
                         serialize_arena)
 from builders import TWO_LOOPS, build_arena
+from colorgames.arena import MAX_CHAIN_NODES, MAX_COLORS
 from oracles import growing_block, growing_block_word
 
 
@@ -63,6 +65,30 @@ def test_load_rejects_malformed_json():
 def test_load_rejects_nonpositive_k():
     with pytest.raises(ValidationError):
         load_arena(arena_text(0, [("a", 0)], "a", [("a", 1, "a")]))
+
+
+def test_load_rejects_k_above_limit():
+    with pytest.raises(ValidationError, match="exceeds the limit"):
+        load_arena(arena_text(MAX_COLORS + 1, [("a", 0)], "a",
+                              [("a", 1, "a")]))
+    arena = load_arena(arena_text(MAX_COLORS, [("a", 0)], "a",
+                                  [("a", MAX_COLORS, "a")]))
+    assert arena.k == MAX_COLORS
+
+
+def test_desugar_rejects_expansion_above_limit(monkeypatch):
+    # (k - 1) * uncolored just above the limit is refused before any
+    # chain node is made
+    k = 12
+    uncolored = MAX_CHAIN_NODES // (k - 1) + 1
+    raw = RawArena(k, [Node("a", 0)], "a", [Edge("a", None, "a")] * uncolored)
+
+    def no_chain_node(*args):
+        raise AssertionError("a chain node was made")
+
+    monkeypatch.setattr(arena_module, "Node", no_chain_node)
+    with pytest.raises(ValidationError, match="chain nodes"):
+        desugar_uncolored(raw)
 
 
 def test_load_rejects_duplicate_ids_and_bad_initial():

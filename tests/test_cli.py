@@ -13,6 +13,8 @@ import pytest
 import colorgames
 from colorgames import (InternalCheckError, graphs, scheduler_arena,
                         simulate_scheduler_policy)
+from colorgames import cli
+from colorgames.arena import MAX_CHAIN_NODES, MAX_COLORS
 from colorgames.cli import main
 from builders import TWO_LOOPS, build_arena
 from oracles import growing_block_word
@@ -73,6 +75,23 @@ def test_analyze_bad_frequency_vector(two_loops_file, capsys):
         report = json.loads(captured.out)
         assert "error" in report
         assert "internal" not in report  # a user error, not a bug
+
+
+@pytest.mark.parametrize("k, uncolored", [
+    (100_000, 3),  # a 199-byte file that once expanded to 299,998 nodes
+    (MAX_COLORS, MAX_CHAIN_NODES // (MAX_COLORS - 1) + 1)])
+def test_analyze_rejects_arena_above_input_limits(tmp_path, capsys, k,
+                                                  uncolored):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps({
+        "k": k, "initial": "u", "nodes": [{"id": "u", "owner": 0}],
+        "edges": [{"src": "u", "color": None, "dst": "u"}] * uncolored}))
+    code = main(["analyze", "--arena", str(path), "--goal", "bounded"])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)  # exactly one JSON document
+    assert "limit" in report["error"]
+    assert "internal" not in report
 
 
 def test_solve_matches_analyze_without_player1(two_loops_file, capsys):
@@ -162,12 +181,48 @@ def test_synth_bounded_periodic(two_loops_file, capsys):
     assert len(report["prefix"]) == 50
 
 
-def test_synth_frequency_long_prefix(two_loops_file, capsys):
+def test_synth_frequency_long_prefix(two_loops_file, tmp_path, capsys):
+    out = tmp_path / "prefix.txt"
     code, report = run_cli(capsys, "synth", "--arena", two_loops_file,
                            "--goal", "freq", "--freq", "2/3,1/3",
-                           "--emit-prefix", "100000")
+                           "--emit-prefix", "100000", "--prefix-out", str(out))
     assert code == 0
     assert Fraction(report["convergence"]["deviation"]) <= Fraction(5, 100)
+    assert report["prefix_out"] == {"path": str(out), "length": 100000}
+    assert "prefix" not in report
+
+
+@pytest.mark.parametrize("goal", [["bounded"], ["balanced"],
+                                  ["freq", "--freq", "2/3,1/3"]])
+def test_synth_long_prefix_needs_prefix_out(two_loops_file, capsys,
+                                            monkeypatch, goal):
+    def undecided(*args):
+        raise AssertionError("the arena was decided")
+
+    monkeypatch.setattr(cli, "graph_decide", undecided)
+    code = main(["synth", "--arena", two_loops_file, "--goal", *goal,
+                 "--emit-prefix", str(cli.MAX_INLINE_PREFIX + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)  # exactly one JSON document
+    assert "--prefix-out" in report["error"]
+    assert "internal" not in report
+
+
+def test_synth_long_prefix_goes_to_file_only(two_loops_file, tmp_path,
+                                             capsys):
+    out = tmp_path / "prefix.txt"
+    n = cli.MAX_INLINE_PREFIX + 1
+    code, report = run_cli(capsys, "synth", "--arena", two_loops_file,
+                           "--goal", "bounded", "--emit-prefix", str(n),
+                           "--prefix-out", str(out))
+    assert code == 0
+    assert "prefix" not in report
+    assert report["prefix_out"] == {"path": str(out), "length": n}
+    assert len(out.read_text().splitlines()) == n
+    code, report = run_cli(capsys, "verify", "--arena", two_loops_file,
+                           "--prefix", str(out), "--bound", "1")
+    assert code == 0 and report["result"]["length"] == n
 
 
 def test_synth_not_exists(single_color_file, capsys):

@@ -1,7 +1,9 @@
 """Graph decisions: systems, SCCs, decompositions, witnesses, oracles."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,7 +15,9 @@ from colorgames import (Circulation, ContractError, FrequencyVector,
                         is_zero_diff_cycle, loop_ratio_matches,
                         solve_feasibility, strongly_connected_components)
 from builders import TWO_LOOPS, build_arena
-from oracles import loop_combination_exists, random_connected_arena
+from oracles import (loop_combination_exists, random_connected_arena,
+                     random_pruning_arena, reference_surviving_edges,
+                     reference_zero_diff_support)
 
 
 def test_frequency_to_limit_examples():
@@ -283,12 +287,69 @@ def test_contracted_and_edge_level_systems_agree():
             for lm in targets[arena.k]:
                 direct = solve_feasibility(
                     build_color_limit_system(arena, eids, lm)).feasible
-                contracted = _LimitProblem(arena, eids, lm).solve()
+                problem = _LimitProblem(arena, eids, lm)
+                contracted = problem.solve()
                 assert direct == (contracted is not None)
                 if contracted is not None:
+                    assert gcd(*contracted) == 1
+                    loads = problem.expand(contracted)
+                    total = sum(loads.values())
                     system = build_color_limit_system(arena, eids, lm)
-                    assert system.satisfied_by(
-                        [contracted[e] for e in sorted(eids)])
+                    shares = [Fraction(loads.get(e, 0), total)
+                              for e in sorted(eids)]
+                    assert system.satisfied_by(shares)
+
+
+def test_cover_row_pruning_matches_forced_edge_reference(monkeypatch):
+    # cover-row pruning reaches the forced-edge fixpoint, walks exactly
+    # that group's edges, and spends at most (survivors + 1) solves per
+    # group and round
+    from colorgames import graphs
+    problems = []  # [edge ids, solves] per group and round
+    rounds = []  # rounds per pruned component
+
+    class CountedProblem(graphs._LimitProblem):
+        def __init__(self, *args):
+            super().__init__(*args)
+            problems.append([self.edge_ids, 0])
+
+    def counted_solve(system):
+        problems[-1][1] += 1
+        return solve_feasibility(system)
+
+    def counted_walk(*args, walk=graphs._zero_diff_component_walk):
+        rounds.append(0)
+        return walk(*args)
+
+    def counted_groups(*args, groups=graphs._edge_groups_by_scc):
+        rounds[-1] += 1
+        return groups(*args)
+
+    monkeypatch.setattr(graphs, "_LimitProblem", CountedProblem)
+    monkeypatch.setattr(graphs, "solve_feasibility", counted_solve)
+    monkeypatch.setattr(graphs, "_zero_diff_component_walk", counted_walk)
+    monkeypatch.setattr(graphs, "_edge_groups_by_scc", counted_groups)
+    rng = random.Random(83)
+    exists = multi_round = 0
+    for _ in range(150):
+        arena = random_pruning_arena(rng)
+        problems.clear()
+        rounds.clear()
+        decision = decide_bounded_path(arena)
+        verdict, fixpoint = reference_zero_diff_support(arena)
+        assert decision.exists == verdict
+        if verdict:
+            exists += 1
+            walk = decision.witness
+            assert is_zero_diff_cycle(walk, arena.k)
+            group_edges = Counter(arena.edges[eid] for eid in fixpoint)
+            walked = Counter(walk.edges)
+            assert set(walked) == set(group_edges)
+            assert all(walked[e] >= c for e, c in group_edges.items())
+        for group, solves in problems:
+            assert solves <= len(reference_surviving_edges(arena, group)) + 1
+        multi_round += max(rounds, default=0) >= 2
+    assert 30 <= exists <= 140 and multi_round >= 20
 
 
 def test_cache_with_parallel_identical_edges():

@@ -154,8 +154,10 @@ def test_matches_rational_reference_on_load_systems(monkeypatch):
                 if eids:
                     problem = _LimitProblem(arena, eids, limit)
                     captured.append(problem.system())
-                    captured.extend(problem.system(force_edge=e)
-                                    for e in eids)
+                    captured.append(problem.system(
+                        cover=set(range(len(problem.macros)))))
+                    captured.extend(problem.system(cover={mi})
+                                    for mi in range(len(problem.macros)))
         decide_bounded_path(arena)
     assert len(captured) > 1000
     for system in captured:
