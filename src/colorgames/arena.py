@@ -168,6 +168,15 @@ class ColoredArena(_ArenaBase):
         super().__init__(k, nodes, initial, edges)
         self._validate(allow_uncolored=False)
 
+    @classmethod
+    def derived(cls, k, nodes, initial, edges) -> "ColoredArena":
+        """An arena built from a validated one by a construction that keeps
+        every invariant (pruning to a reachable part, expanding uncolored
+        edges into chains), so it is not validated again."""
+        arena = cls.__new__(cls)
+        _ArenaBase.__init__(arena, k, nodes, initial, edges)
+        return arena
+
 
 def desugar_uncolored(raw: RawArena) -> ColoredArena:
     """Replace every uncolored edge u->v by a chain of k edges colored
@@ -176,6 +185,9 @@ def desugar_uncolored(raw: RawArena) -> ColoredArena:
     A full chain traversal adds one occurrence of every color, so the
     expansion never disturbs color differences at chain boundaries.
     More than ``MAX_CHAIN_NODES`` fresh nodes is a ``ValidationError``.
+    The raw arena was validated and the expansion keeps every invariant
+    (fresh ids are unique, each chain node has its one outgoing edge,
+    chain colors lie in 1..k), so the result is not validated again.
     """
     k = raw.k
     fresh_nodes = (k - 1) * sum(1 for e in raw.edges if e.color is None)
@@ -200,7 +212,7 @@ def desugar_uncolored(raw: RawArena) -> ColoredArena:
             edges.append(Edge(prev, step, fresh))
             prev = fresh
         edges.append(Edge(prev, k, e.dst))
-    return ColoredArena(k, nodes, raw.initial, edges)
+    return ColoredArena.derived(k, nodes, raw.initial, edges)
 
 
 def _arena_dict_from_text(text: str) -> dict:

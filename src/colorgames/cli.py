@@ -17,6 +17,7 @@ import sys
 import time
 import traceback
 from fractions import Fraction
+from itertools import chain
 
 from .arena import (ArenaError, ColoredArena, ContractError, Edge,
                     FinitePath, FrequencyVector, Goal, RawArena,
@@ -27,7 +28,7 @@ from .graphs import (LimitMatrix, LoopSet, frequency_to_limit,
 from .reductions import (DimacsError, cnf_to_raw_arena, parse_dimacs,
                          scheduler_arena)
 from .synth import (bounded_witness_stream, build_schedule,
-                    measure_convergence, stream)
+                    convergence_profile, shortest_path, stream)
 
 SCHEMA = 1
 
@@ -35,6 +36,10 @@ SCHEMA = 1
 # goes to --prefix-out only, since encoding it as JSON costs time and
 # memory linear in its length.
 MAX_INLINE_PREFIX = 10_000
+
+# A prefix is drawn, written and measured in blocks of at most this many
+# edges, so that memory stays constant however long it is.
+PREFIX_BLOCK = 1 << 13
 
 
 class CliError(Exception):
@@ -138,34 +143,6 @@ def _cmd_solve(args, started: float) -> int:
     return _emit(report, started, 0 if result.winner == 0 else 1)
 
 
-def _access_path(arena: ColoredArena, target: str) -> tuple[Edge, ...]:
-    """Shortest edge path from the initial node to the target."""
-    if target == arena.initial:
-        return ()
-    parent: dict[str, Edge] = {}
-    seen = {arena.initial}
-    frontier = [arena.initial]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for eid in arena.out_edge_ids(u):
-                e = arena.edges[eid]
-                if e.dst not in seen:
-                    seen.add(e.dst)
-                    parent[e.dst] = e
-                    nxt.append(e.dst)
-        if target in parent:
-            path = []
-            node = target
-            while node != arena.initial:
-                path.append(parent[node])
-                node = parent[node].src
-            path.reverse()
-            return tuple(path)
-        frontier = nxt
-    raise CliError(f"witness start {target!r} is unreachable")
-
-
 def _cmd_synth(args, started: float) -> int:
     n = args.emit_prefix
     if n < 1:
@@ -187,41 +164,68 @@ def _cmd_synth(args, started: float) -> int:
         report["witness"] = None
         return _emit(report, started, 1)
 
+    report["witness"] = _witness_dict(decision.witness)
     if goal.kind == "bounded":
         walk = decision.witness
-        access = _access_path(arena, walk.start)
+        access = shortest_path(arena, None, arena.initial, walk.start)
         path_stream = bounded_witness_stream(walk, access, arena.k)
-        prefix = path_stream.take(n)
-        report["witness"] = _witness_dict(walk)
         report["stream"] = {
             "kind": "periodic",
             "access": [e.triple() for e in access],
             "bound": path_stream.bound,
         }
-        seen_max = _max_abs_diff(prefix, arena.k)
-        report["convergence"] = {"prefix_length": n,
-                                 "max_abs_diff": seen_max}
-        ok = seen_max <= path_stream.bound
+
+        def measure(edges) -> dict:
+            return {"max_abs_diff": _max_abs_diff(edges, arena.k)}
     else:
         limit = (LimitMatrix.zero(arena.k) if goal.kind == "balanced"
                  else frequency_to_limit(goal.freq))
         schedule = build_schedule(decision.witness, arena)
-        prefix = stream(schedule).take(n)
-        deviation = measure_convergence(prefix, n, limit)
-        report["witness"] = _witness_dict(decision.witness)
+        path_stream = stream(schedule)
         report["stream"] = {"kind": "schedule",
                             "schedule": schedule.to_json_dict()}
-        report["convergence"] = {"prefix_length": n,
-                                 "deviation": str(deviation)}
-        ok = True
+        # one mark per block keeps each counted segment one block long
+        marks = [*range(PREFIX_BLOCK, n, PREFIX_BLOCK), n]
+
+        def measure(edges) -> dict:
+            profile = convergence_profile(edges, marks, limit)
+            return {"deviation": str(profile[-1][1])}
+
     if n <= MAX_INLINE_PREFIX:
+        prefix = path_stream.take(n)
         report["prefix"] = [e.triple() for e in prefix]
+        blocks = [prefix]
+    else:
+        blocks = _prefix_blocks(path_stream, n)
     if args.prefix_out:
-        with open(args.prefix_out, "w", encoding="utf-8") as fh:
-            for e in prefix:
-                fh.write(f"{e.src} {e.color} {e.dst}\n")
+        try:
+            fh = open(args.prefix_out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise CliError(f"cannot write {args.prefix_out}: {exc}") from exc
+        with fh:
+            measured = measure(chain.from_iterable(_written(blocks, fh)))
         report["prefix_out"] = {"path": args.prefix_out, "length": n}
+    else:
+        measured = measure(chain.from_iterable(blocks))
+    report["convergence"] = {"prefix_length": n, **measured}
+    ok = (goal.kind != "bounded"
+          or measured["max_abs_diff"] <= path_stream.bound)
     return _emit(report, started, 0 if ok else 2)
+
+
+def _prefix_blocks(path_stream, n: int):
+    """The first n edges of a stream, one block at a time."""
+    while n > 0:
+        block = path_stream.take(min(n, PREFIX_BLOCK))
+        n -= len(block)
+        yield block
+
+
+def _written(blocks, fh):
+    """Pass blocks through, writing each as 'src color dst' lines first."""
+    for block in blocks:
+        fh.write("".join([f"{e.src} {e.color} {e.dst}\n" for e in block]))
+        yield block
 
 
 def _max_abs_diff(edges, k: int) -> int:

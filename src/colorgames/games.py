@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterator
 
+from . import graphs
 from .arena import ColoredArena, ContractError, Goal, RawArena
-from .graphs import (GraphDecision, decide_balanced_path, decide_bounded_path,
-                     decide_frequency_path)
+from .graphs import (GraphDecision, LimitMatrix, decide_balanced_path,
+                     decide_bounded_path, decide_frequency_path,
+                     frequency_to_limit)
 
 DEFAULT_STRATEGY_BUDGET = 1 << 20
 
@@ -87,7 +89,7 @@ def prune(arena: ColoredArena, strategy: MemorylessStrategy) -> ColoredArena:
                 frontier.append(dst)
     nodes = [nd for nd in arena.nodes if nd.id in reachable]
     edges = [arena.edges[eid] for eid in sorted(kept_edges)]
-    return ColoredArena(arena.k, nodes, arena.initial, edges)
+    return ColoredArena.derived(arena.k, nodes, arena.initial, edges)
 
 
 @dataclass(frozen=True)
@@ -134,6 +136,10 @@ def decide_winner(arena: ColoredArena, goal: Goal,
 
     Returns on the first (lexicographically smallest) winning strategy;
     the per-strategy log is complete only for player-0 answers.
+
+    Each strategy's graph is canonicalized on the parent arena and looked
+    up in ``cache`` (a dict local to the call when none is given); only
+    a miss builds the pruned arena and decides it.
     """
     if goal.kind == "frequency" and len(goal.freq) != arena.k:
         raise ContractError(
@@ -144,9 +150,23 @@ def decide_winner(arena: ColoredArena, goal: Goal,
         raise StrategyBudgetError(
             f"{total} memoryless strategies exceed the budget "
             f"{max_strategies}")
+    if cache is None:
+        cache = {}
+    if goal.kind == "bounded":
+        limit = None
+    elif goal.kind == "balanced":
+        limit = LimitMatrix.zero(arena.k)
+    else:
+        limit = frequency_to_limit(goal.freq)
+    prefix = graphs.decision_key_prefix(limit)
     log: list[tuple[int, bool]] = []
     for idx, tau in enumerate(enumerate_strategies(arena)):
-        decision = graph_decide(prune(arena, tau), goal, cache)
+        # through the graphs module, so that a wrapper installed there
+        # sees the canonical form
+        ckey, order = graphs.reachable_canonical_form(arena, tau.as_dict())
+        decision = graphs.cached_decision(
+            cache, (*prefix, ckey), arena, order, limit,
+            lambda: graph_decide(prune(arena, tau), goal))
         log.append((idx, decision.exists))
         if not decision.exists:
             return GameResult(1, goal, tau, total, tuple(log))

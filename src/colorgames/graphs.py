@@ -19,7 +19,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Sequence
 
 from .arena import (ColoredArena, ContractError, FinitePath, FrequencyVector,
@@ -57,7 +59,10 @@ class LimitMatrix:
                         "limit matrix is not a pairwise-difference matrix")
 
     @classmethod
+    @lru_cache(maxsize=32)
     def zero(cls, k: int) -> "LimitMatrix":
+        """The all-zero matrix; one shared (immutable) instance per k,
+        kept for the 32 most recently used k."""
         z = Fraction(0)
         return cls([[z] * k for _ in range(k)])
 
@@ -582,7 +587,8 @@ def is_zero_diff_cycle(path: FinitePath, k: int) -> bool:
 # --- canonical forms and the decision cache ---------------------------------
 
 
-def reachable_canonical_form(arena: ColoredArena):
+def reachable_canonical_form(arena: ColoredArena,
+                             choice: dict[str, int] | None = None):
     """Relabel the part of the arena reachable from its initial node by a
     breadth-first traversal with color-sorted adjacency.
 
@@ -590,28 +596,44 @@ def reachable_canonical_form(arena: ColoredArena):
     initial node, colors are preserved), so decisions and witnesses
     transfer between arenas with equal forms through the returned edge
     order.
+
+    ``choice`` maps nodes to the one outgoing edge kept there, as
+    ``MemorylessStrategy.as_dict()`` does for player-1 nodes.  The form
+    is then that of ``games.prune(arena, strategy)``, and the order lists
+    the same edges by their ids in ``arena``: pruning keeps edges in
+    parent order, so every tie-break by edge index agrees.
     """
     edges = arena.edges
     label: dict[str, int] = {arena.initial: 0}
-    queue = deque([arena.initial])
-    big = 1 << 30
-    while queue:
-        u = queue.popleft()
-        outs = arena.out_edge_ids(u)
-        ranked = sorted(outs, key=lambda i: (edges[i].color,
-                                             label.get(edges[i].dst, big), i))
-        for eid in ranked:
-            dst = edges[eid].dst
-            if dst not in label:
-                label[dst] = len(label)
-                queue.append(dst)
-    reach = [eid for eid, e in enumerate(edges) if e.src in label]
-    reach.sort(key=lambda i: (label[edges[i].src], edges[i].color,
-                              label[edges[i].dst], i))
-    key = (arena.k, len(label),
-           tuple((label[edges[i].src], edges[i].color, label[edges[i].dst])
-                 for i in reach))
-    return key, reach
+    queue = [arena.initial]
+    rows: list[tuple[int, int, int, int]] = []
+    for u in queue:  # the queue grows while it is read: breadth-first
+        src = label[u]
+        eid = choice.get(u) if choice else None
+        if eid is None:
+            outs = arena.out_edge_ids(u)
+            if len(outs) > 1:  # stable: color, then edge index
+                outs = sorted(outs, key=lambda i: edges[i].color)
+        elif edges[eid].src != u:
+            raise ContractError(f"choice maps {u!r} to a foreign edge")
+        else:
+            outs = (eid,)
+        for i in outs:
+            e = edges[i]
+            dst = label.get(e.dst)
+            if dst is None:
+                dst = label[e.dst] = len(label)
+                queue.append(e.dst)
+            rows.append((src, e.color, dst, i))
+    # BFS order is not yet canonical: same-color edges of one node sort
+    # by their targets' final labels
+    rows.sort()
+    key = (arena.k, len(label), tuple(map(_TRIPLE, rows)))
+    return key, list(map(_EDGE_ID, rows))
+
+
+_TRIPLE = itemgetter(0, 1, 2)
+_EDGE_ID = itemgetter(3)
 
 
 def _edge_position_by_value(arena, order):
@@ -627,18 +649,39 @@ def _edge_position_by_value(arena, order):
     return pos
 
 
+def decision_key_prefix(limit: LimitMatrix | None) -> tuple:
+    """Cache-key head for a goal's target rates, ``None`` standing for
+    the bounded goal; the canonical form completes the key."""
+    return ("bounded",) if limit is None else ("limit", limit.key())
+
+
+def cached_decision(cache: dict, key: tuple, arena: ColoredArena, order,
+                    limit: LimitMatrix | None, compute) -> GraphDecision:
+    """The decision stored under ``key``, or ``compute()`` stored there.
+
+    ``order`` is the canonical edge order of the graph decided, by edge
+    ids in ``arena``.  A hit is restored onto those edges and re-checked
+    exactly; a miss stores the computed witness by canonical positions.
+    ``limit`` is the goal's target rates, ``None`` for the bounded goal.
+    """
+    stored = cache.get(key)
+    if stored is not None:
+        if limit is None:
+            return _restore_bounded_decision(arena, order, stored)
+        return _restore_limit_decision(arena, order, stored, limit)
+    decision = compute()
+    cache[key] = _store_decision(arena, order, decision)
+    return decision
+
+
 def _decide_limit_path(arena: ColoredArena, limit: LimitMatrix,
                        cache: dict | None) -> GraphDecision:
     if cache is None:
         return _compute_limit_path(arena, limit)
     ckey, order = reachable_canonical_form(arena)
-    key = ("limit", limit.key(), ckey)
-    hit = cache.get(key)
-    if hit is not None:
-        return _restore_limit_decision(arena, order, hit, limit)
-    decision = _compute_limit_path(arena, limit)
-    cache[key] = _store_limit_decision(arena, order, decision)
-    return decision
+    return cached_decision(cache, (*decision_key_prefix(limit), ckey), arena,
+                           order, limit,
+                           lambda: _compute_limit_path(arena, limit))
 
 
 def _compute_limit_path(arena: ColoredArena, limit: LimitMatrix) -> GraphDecision:
@@ -662,14 +705,20 @@ def _compute_limit_path(arena: ColoredArena, limit: LimitMatrix) -> GraphDecisio
     return GraphDecision(False)
 
 
-def _store_limit_decision(arena, order, decision):
+def _store_decision(arena, order, decision):
+    """Witness edges as positions in the canonical order: per loop for a
+    loop set, along the walk for a bounded witness."""
     if not decision.exists:
         return (False, None)
     pos = _edge_position_by_value(arena, order)
-    loops = tuple(
-        (tuple(pos[(e.src, e.color, e.dst)] for e in path.edges), c)
-        for path, c in decision.witness.loops)
-    return (True, loops)
+
+    def positions(path):
+        return tuple(pos[(e.src, e.color, e.dst)] for e in path.edges)
+    witness = decision.witness
+    if isinstance(witness, LoopSet):
+        return (True, tuple((positions(path), c)
+                            for path, c in witness.loops))
+    return (True, positions(witness))
 
 
 def _restore_limit_decision(arena, order, stored, limit):
@@ -717,19 +766,8 @@ def decide_bounded_path(arena: ColoredArena,
     if cache is None:
         return _compute_bounded_path(arena)
     ckey, order = reachable_canonical_form(arena)
-    key = ("bounded", ckey)
-    hit = cache.get(key)
-    if hit is not None:
-        return _restore_bounded_decision(arena, order, hit)
-    decision = _compute_bounded_path(arena)
-    if decision.exists:
-        pos = _edge_position_by_value(arena, order)
-        payload = tuple(pos[(e.src, e.color, e.dst)]
-                        for e in decision.witness.edges)
-        cache[key] = (True, payload)
-    else:
-        cache[key] = (False, None)
-    return decision
+    return cached_decision(cache, (*decision_key_prefix(None), ckey), arena,
+                           order, None, lambda: _compute_bounded_path(arena))
 
 
 def _restore_bounded_decision(arena, order, stored):

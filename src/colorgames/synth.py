@@ -143,14 +143,14 @@ def build_schedule(loop_set: LoopSet, arena: ColoredArena) -> PathSchedule:
     for j in range(h):
         src = loops[j].end
         dst = loops[(j + 1) % h].start
-        connectors.append(_shortest_path(arena, members, src, dst))
+        connectors.append(shortest_path(arena, members, src, dst))
     return PathSchedule(loops, coeffs, tuple(connectors))
 
 
-def _shortest_path(arena: ColoredArena, members: set[str], src: str,
-                   dst: str) -> tuple[Edge, ...]:
-    """Breadth-first shortest path within one component; ties resolved
-    toward the smallest node index."""
+def shortest_path(arena: ColoredArena, members: set[str] | None, src: str,
+                  dst: str) -> tuple[Edge, ...]:
+    """Breadth-first shortest edge path inside ``members``, or over all
+    nodes when it is None; ties resolved toward the smallest node index."""
     if src == dst:
         return ()
     parent: dict[str, Edge] = {}
@@ -161,7 +161,7 @@ def _shortest_path(arena: ColoredArena, members: set[str], src: str,
         candidates = []
         for eid in arena.out_edge_ids(u):
             e = arena.edges[eid]
-            if e.dst in members and e.dst not in seen:
+            if (members is None or e.dst in members) and e.dst not in seen:
                 candidates.append((arena.node_index[e.dst], eid, e))
         for _, _, e in sorted(candidates):
             if e.dst in seen:
@@ -178,8 +178,8 @@ def _shortest_path(arena: ColoredArena, members: set[str], src: str,
                 path.reverse()
                 return tuple(path)
             queue.append(e.dst)
-    raise ContractError(f"no path from {src!r} to {dst!r} inside the "
-                        "component")
+    raise ContractError(f"no path from {src!r} to {dst!r}"
+                        + ("" if members is None else " inside the component"))
 
 
 def stream(schedule: PathSchedule) -> PathStream:

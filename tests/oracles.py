@@ -5,7 +5,9 @@ by Fourier-Motzkin elimination, loop combinations by explicit coefficient
 search over enumerated simple cycles, bounded walks by state-space
 search, and bounded support by forced-edge pruning on the unreduced
 per-edge system.  These deliberately reimplement the math so that
-agreement is meaningful.
+agreement is meaningful.  The one exception is the game loop reference,
+which keeps the earlier strategy loop (decide every pruned arena through
+the one-player cache) to pin the parent-arena loop that replaced it.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from math import lcm
 from typing import Iterable, Iterator
 
 from colorgames import (CnfFormula, ColoredArena, Edge, FeasibilityResult,
-                        FinitePath, FrequencyVector, LimitMatrix,
-                        LinearSystem, Node, PathSchedule,
-                        build_color_limit_system)
+                        FinitePath, FrequencyVector, Goal, LimitMatrix,
+                        LinearSystem, MemorylessStrategy, Node, PathSchedule,
+                        RawArena, build_color_limit_system,
+                        enumerate_strategies, graph_decide, prune)
 
 
 # --- Fourier-Motzkin feasibility ------------------------------------------
@@ -461,6 +464,23 @@ def reference_zero_diff_support(arena: ColoredArena
     return False, frozenset()
 
 
+# --- the game loop ------------------------------------------------------------
+
+
+def reference_decide_winner(
+        arena: ColoredArena, goal: Goal, cache: dict
+) -> tuple[int, MemorylessStrategy | None, tuple[tuple[int, bool], ...]]:
+    """Winner, witness and log of the strategy loop that materializes
+    every pruned arena and decides it through the one-player cache."""
+    log = []
+    for idx, tau in enumerate(enumerate_strategies(arena)):
+        decision = graph_decide(prune(arena, tau), goal, cache)
+        log.append((idx, decision.exists))
+        if not decision.exists:
+            return 1, tau, tuple(log)
+    return 0, None, tuple(log)
+
+
 # --- per-edge streams and convergence -----------------------------------------
 
 
@@ -586,6 +606,25 @@ def random_connected_arena(rng: random.Random, max_nodes: int = 5,
     return ColoredArena(
         k, nodes, names[0],
         [Edge(names[s], c, names[d]) for s, c, d in edges])
+
+
+def random_raw_arena(rng: random.Random, max_nodes: int = 4) -> RawArena:
+    """Valid raw arena, k in 1..3, with uncolored edges; some node ids
+    have the shape of the fresh chain ids that expansion must avoid."""
+    k = rng.randint(1, 3)
+    names = [f"n{i}" for i in range(rng.randint(1, max_nodes))]
+    for _ in range(rng.randint(0, 3)):
+        name = rng.choice(("@0.1", "_@0.1", "@0.2", "@1.1", "@2.1", "@1.2"))
+        if name not in names:
+            names.append(name)
+    triples = [(nm, rng.choice(names)) for nm in names]
+    for _ in range(rng.randint(0, 2 * len(names))):
+        triples.append((rng.choice(names), rng.choice(names)))
+    rng.shuffle(triples)
+    edges = [Edge(s, None if rng.random() < 0.4 else rng.randint(1, k), d)
+             for s, d in triples]
+    nodes = [Node(nm, rng.randint(0, 1)) for nm in names]
+    return RawArena(k, nodes, rng.choice(names), edges)
 
 
 def random_pruning_arena(rng: random.Random) -> ColoredArena:

@@ -142,6 +142,41 @@ def test_desugar_growth_and_chain_balance():
         assert after == [b + uncolored for b in before]
 
 
+def test_desugared_arenas_pass_full_validation():
+    # desugar_uncolored builds its output without validating it again;
+    # the full check must still hold on every expansion
+    from oracles import random_raw_arena
+    rng = random.Random(29)
+    collisions = 0
+    for _ in range(300):
+        raw = random_raw_arena(rng)
+        arena = desugar_uncolored(raw)
+        arena._validate(allow_uncolored=False)
+        assert len(arena.nodes) == len(raw.nodes) + (raw.k - 1) * sum(
+            1 for e in raw.edges if e.color is None)
+        collisions += any(nd.id.startswith("_@") for nd in arena.nodes
+                          if nd not in raw.nodes)
+    assert collisions > 0  # the fresh-id renaming was exercised
+
+
+def test_desugar_fresh_id_collision_and_single_color():
+    raw = RawArena(2, [Node("u", 0), Node("@0.1", 1), Node("_@0.1", 0)], "u",
+                   [Edge("u", None, "@0.1"), Edge("@0.1", None, "u"),
+                    Edge("_@0.1", 2, "u")])
+    arena = desugar_uncolored(raw)
+    arena._validate(allow_uncolored=False)
+    assert [nd.id for nd in arena.nodes][3:] == ["__@0.1", "@1.1"]
+    assert [e.triple() for e in arena.edges] == [
+        ["u", 1, "__@0.1"], ["__@0.1", 2, "@0.1"],
+        ["@0.1", 1, "@1.1"], ["@1.1", 2, "u"], ["_@0.1", 2, "u"]]
+    single = desugar_uncolored(RawArena(
+        1, [Node("u", 1), Node("v", 0)], "u",
+        [Edge("u", None, "v"), Edge("v", None, "u"), Edge("v", 1, "v")]))
+    single._validate(allow_uncolored=False)
+    assert len(single.nodes) == 2
+    assert [e.color for e in single.edges] == [1, 1, 1]
+
+
 def test_serialize_round_trip():
     rng = random.Random(3)
     from oracles import random_connected_arena

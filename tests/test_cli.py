@@ -225,6 +225,72 @@ def test_synth_long_prefix_goes_to_file_only(two_loops_file, tmp_path,
     assert code == 0 and report["result"]["length"] == n
 
 
+def test_synth_bounded_access_path_prefix_reverifies(tmp_path, capsys):
+    # two shortest access paths lead to the zero-difference loops at u
+    arena = build_arena(2, [("s", 1, "a"), ("s", 2, "b"), ("a", 2, "u"),
+                            ("b", 1, "u"), ("u", 1, "u"), ("u", 2, "u")])
+    path = tmp_path / "access.json"
+    path.write_text(arena.to_json())
+    out = tmp_path / "prefix.txt"
+    code, report = run_cli(capsys, "synth", "--arena", str(path), "--goal",
+                           "bounded", "--emit-prefix", "300",
+                           "--prefix-out", str(out))
+    assert code == 0
+    access = report["stream"]["access"]
+    assert len(access) == 2 and access[0][0] == "s"
+    assert access[-1][2] == report["witness"]["edges"][0][0]
+    assert report["prefix"][:2] == access
+    assert [line.split() for line in out.read_text().splitlines()] == \
+        [[s, str(c), d] for s, c, d in report["prefix"]]
+    bound = report["stream"]["bound"]
+    code, again = run_cli(capsys, "verify", "--arena", str(path),
+                          "--prefix", str(out), "--bound", str(bound))
+    assert code == 0 and again["result"]["pass"] is True
+    assert again["result"]["max_abs_diff"] == \
+        report["convergence"]["max_abs_diff"]
+
+
+@pytest.mark.parametrize("goal", [["bounded"], ["balanced"],
+                                  ["freq", "--freq", "2/3,1/3"]])
+def test_synth_long_prefix_is_streamed_in_blocks(two_loops_file, tmp_path,
+                                                 capsys, monkeypatch, goal):
+    n = 12_345
+    monkeypatch.setattr(cli, "MAX_INLINE_PREFIX", 100)
+    asked = []
+    take = colorgames.PathStream.take
+
+    def counted_take(self, m):
+        asked.append(m)
+        return take(self, m)
+
+    monkeypatch.setattr(colorgames.PathStream, "take", counted_take)
+    runs = []
+    for block in (1000, n + 1):
+        monkeypatch.setattr(cli, "PREFIX_BLOCK", block)
+        asked.clear()
+        out = tmp_path / f"prefix-{block}.txt"
+        code, report = run_cli(capsys, "synth", "--arena", two_loops_file,
+                               "--goal", *goal, "--emit-prefix", str(n),
+                               "--prefix-out", str(out))
+        assert code == 0
+        assert sum(asked) == n and max(asked) <= block
+        del report["timing"], report["prefix_out"]["path"]
+        runs.append((report, out.read_bytes()))
+    # blocks of 1000 edges report and write what one block does
+    assert runs[0] == runs[1]
+    assert len(runs[0][1].splitlines()) == n
+
+
+def test_synth_unwritable_prefix_out_is_an_error(two_loops_file, tmp_path,
+                                                 capsys):
+    out = tmp_path / "missing" / "prefix.txt"
+    code = main(["synth", "--arena", two_loops_file, "--goal", "bounded",
+                 "--emit-prefix", "10", "--prefix-out", str(out)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert "cannot write" in report["error"] and "internal" not in report
+
+
 def test_synth_not_exists(single_color_file, capsys):
     code, report = run_cli(capsys, "synth", "--arena", single_color_file,
                            "--goal", "balanced")

@@ -2,12 +2,14 @@
 
 import pytest
 
-from colorgames import (ColoredArena, FrequencyVector, Goal,
+from colorgames import (ColoredArena, ContractError, FrequencyVector, Goal,
                         StrategyBudgetError, cnf_to_arena, count_strategies,
                         decide_balanced_path, decide_winner,
                         enumerate_strategies, graph_decide, prune)
+from colorgames.graphs import reachable_canonical_form
 from builders import TWO_LOOPS, build_arena
-from oracles import random_formula
+from oracles import (random_connected_arena, random_formula,
+                     reference_decide_winner)
 from colorgames import CnfFormula
 
 import random
@@ -186,3 +188,68 @@ def test_decide_winner_checks_arity():
     from colorgames import ContractError
     with pytest.raises(ContractError):
         decide_winner(arena, Goal.frequency(FrequencyVector.uniform(3)))
+
+
+# --- canonical forms on the parent arena ------------------------------------
+
+
+def _parent_form(arena, strategy):
+    key, order = reachable_canonical_form(arena, strategy.as_dict())
+    return key, [arena.edges[i].triple() for i in order]
+
+
+def _pruned_form(arena, strategy):
+    pruned = prune(arena, strategy)
+    key, order = reachable_canonical_form(pruned)
+    return key, [pruned.edges[i].triple() for i in order]
+
+
+def _seeded_game_arenas(seed):
+    rng = random.Random(seed)
+    for _ in range(30):
+        yield cnf_to_arena(random_formula(rng, max_vars=3, max_clauses=3))
+    for _ in range(120):
+        yield random_connected_arena(rng, two_player=True)
+
+
+def test_parent_canonical_form_matches_pruned_arena():
+    for arena in _seeded_game_arenas(606):
+        for strategy in enumerate_strategies(arena):
+            assert _parent_form(arena, strategy) == \
+                _pruned_form(arena, strategy)
+
+
+def test_canonical_order_sorts_by_final_target_labels():
+    # BFS meets n1, n2, n1 along n0's color-1 edges; the canonical order
+    # puts both edges to n1 (label 1) before the edge to n2 (label 2)
+    arena = build_arena(2, [("n0", 1, "n1"), ("n0", 1, "n2"), ("n0", 1, "n1"),
+                            ("n1", 2, "n0"), ("n1", 1, "n2"),
+                            ("n2", 2, "n0")], owners={"n1": 1})
+    key, order = reachable_canonical_form(arena)
+    assert order[:3] == [0, 2, 1]
+    assert key[2][:3] == ((0, 1, 1), (0, 1, 1), (0, 1, 2))
+    for strategy in enumerate_strategies(arena):
+        assert _parent_form(arena, strategy) == _pruned_form(arena, strategy)
+        _, order = reachable_canonical_form(arena, strategy.as_dict())
+        assert order[:3] == [0, 2, 1]
+
+
+def test_canonical_form_rejects_foreign_choice():
+    arena = build_arena(2, [("a", 1, "b"), ("b", 2, "a"), ("b", 1, "b")],
+                        owners={"a": 1})
+    with pytest.raises(ContractError):
+        reachable_canonical_form(arena, {"a": 1})
+
+
+def test_sweep_fills_the_cache_like_the_pruned_arena_loop():
+    goals = {2: (Goal.balanced(), Goal.bounded(),
+                 Goal.frequency(FrequencyVector.of("1/3", "2/3"))),
+             3: (Goal.balanced(), Goal.bounded(),
+                 Goal.frequency(FrequencyVector.of("1/2", "1/4", "1/4")))}
+    cache, reference = {}, {}
+    for arena in _seeded_game_arenas(607):
+        for goal in goals.get(arena.k, (Goal.balanced(), Goal.bounded())):
+            result = decide_winner(arena, goal, cache=cache)
+            expected = reference_decide_winner(arena, goal, reference)
+            assert (result.winner, result.witness, result.log) == expected
+    assert cache == reference

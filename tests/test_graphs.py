@@ -374,3 +374,10 @@ def test_cache_matches_fresh_decisions():
         fresh_w = decide_bounded_path(arena)
         cached_w = decide_bounded_path(arena, cache=cache)
         assert fresh_w.exists == cached_w.exists
+
+
+def test_zero_limit_matrix_is_shared():
+    for k in (1, 2, 3, 7):
+        assert LimitMatrix.zero(k) is LimitMatrix.zero(k)
+        assert LimitMatrix.zero(k).is_zero() and LimitMatrix.zero(k).k == k
+    assert LimitMatrix.zero(2) is not LimitMatrix.zero(3)

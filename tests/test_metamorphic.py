@@ -1,0 +1,106 @@
+"""Metamorphic properties of the game solver: transformations that keep
+the game the same must keep its winner, and the decision cache must not
+change any answer.  Seeded; every case is reproducible."""
+
+import random
+
+from colorgames import (ColoredArena, Edge, FrequencyVector, Goal, Node,
+                        cnf_to_arena, decide_winner)
+from oracles import (random_connected_arena, random_formula,
+                     reference_decide_winner)
+
+FREQ = {2: FrequencyVector.of("1/3", "2/3"),
+        3: FrequencyVector.of("1/2", "1/4", "1/4")}
+
+
+def goals_for(arena):
+    out = [Goal.balanced(), Goal.bounded()]
+    if arena.k in FREQ:
+        out.append(Goal.frequency(FREQ[arena.k]))
+    return out
+
+
+def seeded_games(seed):
+    rng = random.Random(seed)
+    for _ in range(16):
+        yield rng, cnf_to_arena(random_formula(rng, max_vars=2,
+                                               max_clauses=2))
+    for _ in range(60):
+        yield rng, random_connected_arena(rng, two_player=True)
+
+
+# --- transformations ----------------------------------------------------------
+
+
+def relabeled(arena, rng):
+    """Fresh node names, nodes listed in a shuffled order."""
+    order = list(arena.nodes)
+    rng.shuffle(order)
+    name = {nd.id: f"r{i}" for i, nd in enumerate(order)}
+    return ColoredArena(arena.k, [Node(name[nd.id], nd.owner) for nd in order],
+                        name[arena.initial],
+                        [Edge(name[e.src], e.color, name[e.dst])
+                         for e in arena.edges])
+
+
+def edges_shuffled(arena, rng):
+    edges = list(arena.edges)
+    rng.shuffle(edges)
+    return ColoredArena(arena.k, arena.nodes, arena.initial, edges)
+
+
+def with_unreachable_part(arena, rng):
+    """New nodes of both players that only reach into the arena."""
+    old = [nd.id for nd in arena.nodes]
+    new = [Node(f"x{i}", rng.randint(0, 1)) for i in range(rng.randint(1, 2))]
+    edges = list(arena.edges)
+    for nd in new:
+        for _ in range(rng.randint(1, 2)):
+            target = rng.choice(old + [m.id for m in new])
+            edges.append(Edge(nd.id, rng.randint(1, arena.k), target))
+    return ColoredArena(arena.k, list(arena.nodes) + new, arena.initial,
+                        edges)
+
+
+def with_parallel_copies(arena, rng):
+    """Copies of existing edges, inserted at random positions."""
+    edges = list(arena.edges)
+    for _ in range(rng.randint(1, 2)):
+        edges.insert(rng.randrange(len(edges) + 1), rng.choice(arena.edges))
+    return ColoredArena(arena.k, arena.nodes, arena.initial, edges)
+
+
+TRANSFORMS = (relabeled, edges_shuffled, with_unreachable_part,
+              with_parallel_copies)
+
+
+# --- properties -----------------------------------------------------------------
+
+
+def test_game_preserving_transformations_keep_the_winner():
+    for rng, arena in seeded_games(515):
+        for goal in goals_for(arena):
+            winner = decide_winner(arena, goal).winner
+            for transform in TRANSFORMS:
+                changed = transform(arena, rng)
+                assert decide_winner(changed, goal).winner == winner, \
+                    (transform.__name__, goal.kind)
+
+
+def test_warm_cache_answers_like_a_cold_one():
+    # the warm cache holds decisions stored from isomorphic graphs with
+    # other node names and edge ids, so every hit is restored elsewhere;
+    # the reference decides every pruned arena afresh, with no cache
+    warm: dict = {}
+    for rng, arena in seeded_games(516):
+        variants = [arena] + [t(arena, rng) for t in TRANSFORMS]
+        for goal in goals_for(arena):
+            for variant in variants:
+                decide_winner(variant, goal, cache=warm)
+        for goal in goals_for(arena):
+            for variant in variants:
+                cold = decide_winner(variant, goal)
+                hot = decide_winner(variant, goal, cache=warm)
+                assert (hot.winner, hot.witness, hot.log) == \
+                    (cold.winner, cold.witness, cold.log) == \
+                    reference_decide_winner(variant, goal, None)
