@@ -468,7 +468,7 @@ def reference_zero_diff_support(arena: ColoredArena
 
 
 def reference_decide_winner(
-        arena: ColoredArena, goal: Goal, cache: dict
+        arena: ColoredArena, goal: Goal, cache: dict | None
 ) -> tuple[int, MemorylessStrategy | None, tuple[tuple[int, bool], ...]]:
     """Winner, witness and log of the strategy loop that materializes
     every pruned arena and decides it through the one-player cache."""
