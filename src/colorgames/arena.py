@@ -73,14 +73,10 @@ class _ArenaBase:
         for i, nd in enumerate(self.nodes):
             self.node_index[nd.id] = i
         self._out: list[list[int]] = [[] for _ in self.nodes]
-        self._in: list[list[int]] = [[] for _ in self.nodes]
         for eid, e in enumerate(self.edges):
             si = self.node_index.get(e.src)
-            di = self.node_index.get(e.dst)
             if si is not None:
                 self._out[si].append(eid)
-            if di is not None:
-                self._in[di].append(eid)
 
     # --- queries -------------------------------------------------------
 
@@ -89,9 +85,6 @@ class _ArenaBase:
 
     def out_edge_ids(self, node_id: str) -> list[int]:
         return self._out[self.node_index[node_id]]
-
-    def in_edge_ids(self, node_id: str) -> list[int]:
-        return self._in[self.node_index[node_id]]
 
     def player_nodes(self, owner: int) -> list[Node]:
         return [nd for nd in self.nodes if nd.owner == owner]

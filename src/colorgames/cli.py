@@ -17,7 +17,7 @@ import sys
 import time
 import traceback
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 
 from .arena import (ArenaError, ColoredArena, ContractError, Edge,
                     FinitePath, FrequencyVector, Goal, RawArena,
@@ -175,8 +175,8 @@ def _cmd_synth(args, started: float) -> int:
             "bound": path_stream.bound,
         }
 
-        def measure(edges) -> dict:
-            return {"max_abs_diff": _max_abs_diff(edges, arena.k)}
+        def measure(blocks) -> dict:
+            return {"max_abs_diff": _max_abs_diff(blocks, arena.k)}
     else:
         limit = (LimitMatrix.zero(arena.k) if goal.kind == "balanced"
                  else frequency_to_limit(goal.freq))
@@ -187,8 +187,9 @@ def _cmd_synth(args, started: float) -> int:
         # one mark per block keeps each counted segment one block long
         marks = [*range(PREFIX_BLOCK, n, PREFIX_BLOCK), n]
 
-        def measure(edges) -> dict:
-            profile = convergence_profile(edges, marks, limit)
+        def measure(blocks) -> dict:
+            profile = convergence_profile(chain.from_iterable(blocks), marks,
+                                          limit)
             return {"deviation": str(profile[-1][1])}
 
     if n <= MAX_INLINE_PREFIX:
@@ -203,10 +204,10 @@ def _cmd_synth(args, started: float) -> int:
         except OSError as exc:
             raise CliError(f"cannot write {args.prefix_out}: {exc}") from exc
         with fh:
-            measured = measure(chain.from_iterable(_written(blocks, fh)))
+            measured = measure(_written(blocks, fh))
         report["prefix_out"] = {"path": args.prefix_out, "length": n}
     else:
-        measured = measure(chain.from_iterable(blocks))
+        measured = measure(blocks)
     report["convergence"] = {"prefix_length": n, **measured}
     ok = (goal.kind != "bounded"
           or measured["max_abs_diff"] <= path_stream.bound)
@@ -228,14 +229,29 @@ def _written(blocks, fh):
         yield block
 
 
-def _max_abs_diff(edges, k: int) -> int:
+def _max_abs_diff(blocks, k: int) -> int:
+    """Largest spread max - min of the color counts over all prefixes.
+    Up to three colors, each color pair's running difference is one
+    ``accumulate`` per block, in C; more are counted edge by edge."""
     counts = [0] * k
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
     worst = 0
-    for e in edges:
-        counts[e.color - 1] += 1
-        spread = max(counts) - min(counts)
-        if spread > worst:
-            worst = spread
+    for block in blocks:
+        colors = [e.color - 1 for e in block]
+        if len(pairs) > 3:
+            for c in colors:
+                counts[c] += 1
+                spread = max(counts) - min(counts)
+                if spread > worst:
+                    worst = spread
+            continue
+        for a, b in pairs:
+            weight = [0] * k
+            weight[a], weight[b] = 1, -1
+            run = list(accumulate(map(weight.__getitem__, colors),
+                                  initial=counts[a] - counts[b]))
+            worst = max(worst, max(run), -min(run))
+        counts = [have + colors.count(c) for c, have in enumerate(counts)]
     return worst
 
 

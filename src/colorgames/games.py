@@ -35,12 +35,6 @@ class MemorylessStrategy:
 
     choices: tuple[tuple[str, int], ...]
 
-    def edge_for(self, node_id: str) -> int | None:
-        for nd, eid in self.choices:
-            if nd == node_id:
-                return eid
-        return None
-
     def as_dict(self) -> dict[str, int]:
         return dict(self.choices)
 

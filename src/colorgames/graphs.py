@@ -3,10 +3,12 @@
 Existence of an infinite path with prescribed per-color frequencies
 reduces, per strongly connected component reachable from the initial
 node, to exact feasibility of a load system over the component's edges:
-flow conservation, pairwise color balance proportional to the target
-rates, nonnegativity and a positive-total normalization.  A feasible
-rational solution is rescaled to integers and decomposed into simple
-loops, which form the verifiable witness.
+flow conservation, color counts proportional to the target rates,
+nonnegativity and a positive-total normalization.  A component where
+some color's target rate lies outside the range of its chains' rates is
+rejected without a solve.  A feasible rational solution is rescaled to
+integers and decomposed into simple loops, which form the verifiable
+witness.
 
 Bounded-difference paths are decided through zero-difference closed
 walks: edges that cannot carry load in any zero-difference circulation
@@ -19,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Sequence
@@ -28,7 +30,8 @@ from .arena import (ColoredArena, ContractError, FinitePath, FrequencyVector,
                     color_counts)
 # integer_scale is not called here; it stays importable because
 # perfbench's tracer wraps graphs.integer_scale by name
-from .lp import Constraint, LinearSystem, integer_scale, solve_feasibility
+from .lp import (Constraint, FactoredRows, LinearSystem, factor_rows,
+                 integer_scale, solve_feasibility)
 
 
 class InternalCheckError(RuntimeError):
@@ -39,56 +42,53 @@ class InternalCheckError(RuntimeError):
 
 
 class LimitMatrix:
-    """k x k rational matrix of target growth rates for pairwise color
-    differences; entry (a, b) is the desired limit of
-    diff_{a,b}(prefix) / len(prefix)."""
+    """Target rates r_a = nums[a-1] / den, the desired limits of
+    count_a(prefix) / len(prefix).  They are given up to a common shift
+    and stored summing to one, so the pairwise difference rates
+    ``rows[a][b]`` = r_a - r_b, derived on demand, determine them."""
 
-    __slots__ = ("k", "rows")
-
-    def __init__(self, rows: Sequence[Sequence[Fraction]]):
-        self.rows = tuple(tuple(Fraction(v) for v in r) for r in rows)
-        self.k = len(self.rows)
-        for r in self.rows:
-            if len(r) != self.k:
-                raise ContractError("limit matrix must be square")
-        ref = [self.rows[a][self.k - 1] for a in range(self.k)]
-        for a in range(self.k):
-            for b in range(self.k):
-                if self.rows[a][b] != ref[a] - ref[b]:
-                    raise ContractError(
-                        "limit matrix is not a pairwise-difference matrix")
+    def __init__(self, rates: Sequence[Fraction]):
+        rates = [Fraction(v) for v in rates]
+        self.k = k = len(rates)
+        shift = (1 - sum(rates)) / k if k else 0
+        self.rates = tuple(v + shift for v in rates)
+        self.den = lcm(*(v.denominator for v in self.rates))
+        self.nums = tuple(v.numerator * (self.den // v.denominator)
+                          for v in self.rates)
 
     @classmethod
     @lru_cache(maxsize=32)
     def zero(cls, k: int) -> "LimitMatrix":
-        """The all-zero matrix; one shared (immutable) instance per k,
-        kept for the 32 most recently used k."""
-        z = Fraction(0)
-        return cls([[z] * k for _ in range(k)])
+        """Equal rates, all differences zero; one shared (immutable)
+        instance per k, kept for the 32 most recently used k."""
+        return cls([Fraction(1, k)] * k)
 
     @classmethod
     def from_frequencies(cls, freq: FrequencyVector) -> "LimitMatrix":
-        vals = list(freq)
-        return cls([[fa - fb for fb in vals] for fa in vals])
+        return cls(list(freq))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(ra - rb for rb in self.rates) for ra in self.rates)
 
     def entry(self, a: int, b: int) -> Fraction:
         """1-based access, matching color names."""
-        return self.rows[a - 1][b - 1]
+        return self.rates[a - 1] - self.rates[b - 1]
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.rows for v in row)
+        return len(set(self.rates)) <= 1
 
     def key(self) -> tuple:
-        return tuple(v for row in self.rows for v in row)
+        return self.rates
 
     def __eq__(self, other):
-        return isinstance(other, LimitMatrix) and self.rows == other.rows
+        return isinstance(other, LimitMatrix) and self.rates == other.rates
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self.rates)
 
     def __repr__(self):
-        return f"LimitMatrix({[list(r) for r in self.rows]})"
+        return f"LimitMatrix({list(self.rates)})"
 
 
 def frequency_to_limit(freq: FrequencyVector) -> LimitMatrix:
@@ -229,7 +229,8 @@ def build_color_limit_system(arena: ColoredArena, edge_ids: Sequence[int],
         incident[arena.node_index[e.dst]][pos[eid]] += 1
         incident[arena.node_index[e.src]][pos[eid]] -= 1
     for ni in sorted(incident):
-        system.add_constraint(_flow_row(incident[ni]))
+        system.add_constraint(Constraint(tuple(
+            _UNIT[v] for v in incident[ni]), "=", _UNIT[0]))
 
     for a in range(1, arena.k + 1):
         for b in range(a + 1, arena.k + 1):
@@ -251,17 +252,14 @@ def build_color_limit_system(arena: ColoredArena, edge_ids: Sequence[int],
 _UNIT = {v: Fraction(v) for v in (-1, 0, 1)}
 
 
-def _flow_row(net: Sequence[int]) -> Constraint:
-    """Conservation at one node; net entries are -1, 0 or 1."""
-    return Constraint(tuple(_UNIT[v] for v in net), "=", _UNIT[0])
-
-
 class _LimitProblem:
     """The same load system after collapsing unbranching chains.
 
     Interior nodes with in-degree and out-degree one force equal loads
     along a chain, so the chain becomes one variable carrying the chain's
     per-color counts.  Solutions expand back to per-edge loads exactly.
+    Chain m has den*counts_a(m) - nums[a]*len(m) in the rate row of color
+    a; the k rows sum to zero, so the last is left out.
     """
 
     def __init__(self, arena: ColoredArena, edge_ids: Sequence[int],
@@ -285,6 +283,7 @@ class _LimitProblem:
                     if indeg.get(v, 0) != 1 or outdeg.get(v, 0) != 1}
         if not retained:
             retained = {min(nodes, key=lambda v: arena.node_index[v])}
+        self.retained = sorted(retained, key=lambda v: arena.node_index[v])
         self.macros: list[tuple[str, str, tuple[int, ...], tuple[int, ...]]] = []
         for eid in self.edge_ids:
             e = arena.edges[eid]
@@ -300,47 +299,53 @@ class _LimitProblem:
             for ce in chain:
                 counts[arena.edges[ce].color - 1] += 1
             self.macros.append((e.src, v, tuple(chain), tuple(counts)))
-        self._base_rows = self._build_base_rows(retained)
+        self.rate_rows = [[limit.den * counts[a] - p * len(chain)
+                           for _, _, chain, counts in self.macros]
+                          for a, p in enumerate(limit.nums)]
+        # a cycle's rate of a color is a length-weighted mean of its
+        # chains' rates: no load meets a row of one strict sign
+        self.screened = any(min(row) > 0 or max(row) < 0
+                            for row in self.rate_rows)
 
-    def _build_base_rows(self, retained: set[str]) -> list[Constraint]:
-        arena, k = self.arena, self.arena.k
-        nvars = len(self.macros)
-        rows: list[Constraint] = []
-        flow: dict[str, list[int]] = {v: [0] * nvars for v in retained}
+    @cached_property
+    def base_rows(self) -> list[Constraint]:
+        """Flow conservation per retained node, then k - 1 rate rows."""
+        flow = {v: [0] * len(self.macros) for v in self.retained}
         for mi, (src, dst, _, _) in enumerate(self.macros):
             flow[dst][mi] += 1
             flow[src][mi] -= 1
-        for v in sorted(retained, key=lambda v: arena.node_index[v]):
-            rows.append(_flow_row(flow[v]))
-        for a in range(k):
-            for b in range(a + 1, k):
-                # counts_a - counts_b - l_ab * len, over l_ab's denominator
-                p, q = self.limit.rows[a][b].as_integer_ratio()
-                rows.append(Constraint(tuple(
-                    Fraction(q * (counts[a] - counts[b]) - p * len(chain), q)
-                    for _, _, chain, counts in self.macros), "=", _UNIT[0]))
-        return rows
+        return [Constraint.integral(row, "=") for row in
+                [*map(flow.get, self.retained), *self.rate_rows[:-1]]]
+
+    @cached_property
+    def factored(self) -> FactoredRows:
+        return factor_rows(len(self.macros), self.base_rows)
 
     def system(self, cover: set[int] | None = None) -> LinearSystem:
         """The contracted load system.  Without ``cover`` it is normalized
         like ``build_color_limit_system``; with a set of macro indices the
-        row sum_{m in cover} y_m >= 1 is emitted instead."""
+        row sum_{m in cover} y_m >= 1 is emitted instead, and the system
+        starts from the base rows factored once per problem."""
         nvars = len(self.macros)
-        system = LinearSystem(nvars, self._base_rows, nonneg=True)
         if cover is None:
-            system.add([len(chain) for _, _, chain, _ in self.macros], "=", 1)
-        else:
-            system.add([int(mi in cover) for mi in range(nvars)], ">=", 1)
-        return system
+            return LinearSystem(nvars, [*self.base_rows, Constraint.integral(
+                [len(chain) for _, _, chain, _ in self.macros], "=", 1)],
+                nonneg=True)
+        return LinearSystem(nvars, [*self.factored.rows, Constraint.integral(
+            [int(mi in cover) for mi in range(nvars)], ">=", 1)],
+            nonneg=True, start=self.factored)
 
     def solve(self, cover: set[int] | None = None) -> list[int] | None:
-        """Primitive integer macro loads of a feasible solution, or None.
+        """Primitive integer macro loads of a feasible solution, or None;
+        None without a solve when the rate screen shows infeasibility.
 
         The assignment is scaled by the lcm of its denominators, which
         keeps every homogeneous row satisfied.  Under the normalization
         row that vector is already primitive, so witnesses are those of
         the rational solution scaled once.
         """
+        if self.screened:
+            return None
         result = solve_feasibility(self.system(cover))
         if not result.feasible:
             return None
@@ -564,17 +569,12 @@ def eulerian_circuit(arena: ColoredArena, circ: Circulation) -> FinitePath:
 
 def loop_ratio_matches(loop_set: LoopSet, limit: LimitMatrix) -> bool:
     """Exact check that the combined loop counts grow at the target
-    rates: sum_i c_i * diff(loop_i) == L * sum_i c_i * |loop_i|."""
-    k = limit.k
-    counts = loop_set.combined_counts(k)
+    rates: q * sum_i c_i * count_a(loop_i) == p_a * sum_i c_i * |loop_i|
+    for every color a, with r_a = p_a / q."""
+    counts = loop_set.combined_counts(limit.k)
     total = loop_set.total_length()
-    if total <= 0:
-        return False
-    for a in range(k):
-        for b in range(a + 1, k):
-            if counts[a] - counts[b] != limit.rows[a][b] * total:
-                return False
-    return True
+    return total > 0 and all(limit.den * c == p * total
+                             for c, p in zip(counts, limit.nums))
 
 
 def is_zero_diff_cycle(path: FinitePath, k: int) -> bool:

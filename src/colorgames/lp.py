@@ -5,6 +5,8 @@ rows (fraction-free, integer-preserving elimination in the style of
 Edmonds and Bareiss): no tolerances, no floating point, guaranteed
 termination under degeneracy.  Only weak relations are supported;
 callers encode strict positivity through a normalization row.
+Homogeneous equality rows can be factored once (``factor_rows``) into a
+basis feasible at x = 0, from which systems that lead with them start.
 """
 
 from __future__ import annotations
@@ -24,13 +26,20 @@ _denominator = attrgetter("denominator")
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Fraction | int, ...]
     relation: str
-    rhs: Fraction
+    rhs: Fraction | int
 
     def __post_init__(self):
         if self.relation not in RELATIONS:
             raise ContractError(f"unknown relation {self.relation!r}")
+
+    @classmethod
+    def integral(cls, coeffs: list[int], relation: str, rhs: int = 0):
+        """Integer coefficients, held directly as the integer row."""
+        con = cls(tuple(coeffs), relation, rhs)
+        con.__dict__["integer_row"] = (coeffs, rhs, 1)
+        return con
 
     def holds(self, x, den: int = 1) -> bool:
         """Does the constraint hold at x / den (den > 0)?  Exact for
@@ -61,10 +70,12 @@ class LinearSystem:
 
     ``nonneg`` marks the columns restricted to x_j >= 0: True or False
     for every column, or one flag per column.  Sign restrictions carried
-    this way cost no constraint row.
+    this way cost no constraint row.  ``start``, when given, is the
+    ``factor_rows`` form of the system's leading constraints.
     """
 
-    def __init__(self, num_vars: int, constraints=(), nonneg=False):
+    def __init__(self, num_vars: int, constraints=(), nonneg=False,
+                 start: FactoredRows | None = None):
         self.num_vars = num_vars
         if isinstance(nonneg, bool):
             self.nonneg = (nonneg,) * num_vars
@@ -80,6 +91,10 @@ class LinearSystem:
                 self.add_constraint(con)
             else:
                 self.add(*con)
+        self.start = start
+        if start and (start.num_vars != num_vars or not all(self.nonneg) or
+                      tuple(self.constraints[:len(start.rows)]) != start.rows):
+            raise ContractError("factored rows must lead the system")
 
     def add_constraint(self, con: Constraint) -> None:
         if len(con.coeffs) != self.num_vars:
@@ -121,12 +136,13 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     pivot sequence is the one a rational tableau would take.
     """
     m = system.num_vars
+    start = system.start
 
     # Rows of the form  c*x_j >= 0 (c > 0)  or  c*x_j <= 0 (c < 0)  are
     # absorbed as variable sign restrictions instead of tableau rows.
     nonneg = list(system.nonneg)
     rows: list[Constraint] = []
-    for con in system.constraints:
+    for con in system.constraints[len(start.rows) if start else 0:]:
         a, b, _ = con.integer_row
         nz = [(j, c) for j, c in enumerate(a) if c]
         if len(nz) == 1 and b == 0:
@@ -153,10 +169,14 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     # constraint's denominators.  Artificial variables get basis
     # indices from nstruct on but no tableau column: a basic artificial
     # has zero reduced cost and one that leaves the basis may not
-    # return, so their columns are never read.
-    tableau: list[list[int]] = []
-    rhs: list[int] = []
-    basis: list[int] = []
+    # return, so their columns are never read.  A warm start copies the
+    # factored rows and reduces each further row by them; the positive
+    # factors this puts on its artificial leave phase 1 valid.
+    pad = [0] * (nstruct - ncols)
+    tableau = [row + pad for row in start.tableau] if start else []
+    basis = list(start.basis) if start else []
+    factored = list(zip(tableau, basis))
+    rhs = [0] * len(tableau)
     zrow = [0] * nstruct
     art_scales: list[tuple[int, list[int]]] = []
     slack_at = ncols
@@ -175,6 +195,12 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
             slack_col = slack_at
             slack_at += 1
             row[slack_col] = scale if con.relation == "<=" else -scale
+        for prow, c in factored:
+            f = row[c]
+            if f:
+                piv = prow[c]
+                row = [piv * v - f * p for v, p in zip(row, prow)]
+                b *= piv
         if b < 0:
             row = [-v for v in row]
             b = -b
@@ -249,6 +275,38 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
         raise RuntimeError("simplex produced an assignment that fails "
                            "exact re-checking; solver bug")
     return FeasibilityResult(True, assignment)
+
+
+@dataclass(frozen=True)
+class FactoredRows:
+    """Homogeneous equality rows, eliminated so that tableau row i is basic
+    in column basis[i] (entry > 0, right-hand side 0); implied rows go."""
+
+    num_vars: int
+    rows: tuple[Constraint, ...]
+    tableau: tuple[list[int], ...]
+    basis: tuple[int, ...]
+
+
+def factor_rows(num_vars: int, rows) -> FactoredRows:
+    """Eliminate each row in turn on its first unit entry (else its first
+    nonzero entry), by the same fraction-free pivot as phase 1."""
+    rows = tuple(rows)
+    if any(con.relation != "=" or con.rhs or len(con.coeffs) != num_vars
+           for con in rows):
+        raise ContractError("only homogeneous equality rows factor")
+    tableau = [list(con.integer_row[0]) for con in rows]
+    zero, zrow, kept = [0] * len(tableau), [0] * num_vars, []
+    for i, row in enumerate(tableau):
+        nz = [j for j, v in enumerate(row) if v]
+        if nz:
+            col = next((j for j in nz if row[j] in (1, -1)), nz[0])
+            if row[col] < 0:
+                row[:] = [-v for v in row]
+            _pivot(tableau, zero, zrow, col, i)
+            kept.append((row, col))
+    return FactoredRows(num_vars, rows, tuple(r for r, _ in kept),
+                        tuple(c for _, c in kept))
 
 
 def _primitive(row: list[int]) -> list[int]:

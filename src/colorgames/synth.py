@@ -235,14 +235,12 @@ def convergence_profile(path_stream: Iterable[Edge], checkpoints,
         pos = mark
         if sum(counts) != pos:
             raise ContractError(bad_color)
-        worst = Fraction(0)
-        for a in range(k):
-            for b in range(a + 1, k):
-                gap = abs(Fraction(counts[a] - counts[b], pos)
-                          - limit.rows[a][b])
-                if gap > worst:
-                    worst = gap
-        out.append((mark, worst))
+        # the largest pairwise gap |d_a - d_b|, d_a = counts_a/pos - r_a,
+        # is max d - min d; in integers, pos * den * d_a
+        scaled = [limit.den * c - p * pos
+                  for c, p in zip(counts, limit.nums)]
+        out.append((mark, Fraction(max(scaled) - min(scaled),
+                                   pos * limit.den)))
     return out
 
 

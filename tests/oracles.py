@@ -525,6 +525,17 @@ def reference_profile(edges: Iterable[Edge], marks: list[int],
     return out
 
 
+def reference_max_abs_diff(edges: Iterable[Edge], k: int) -> int:
+    """Largest spread max - min of the color counts over all prefixes,
+    counted edge by edge."""
+    counts = [0] * k
+    worst = 0
+    for e in edges:
+        counts[e.color - 1] += 1
+        worst = max(worst, max(counts) - min(counts))
+    return worst
+
+
 # --- worked example word ----------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,13 +12,13 @@ from pathlib import Path
 import pytest
 
 import colorgames
-from colorgames import (InternalCheckError, graphs, scheduler_arena,
+from colorgames import (Edge, InternalCheckError, graphs, scheduler_arena,
                         simulate_scheduler_policy)
 from colorgames import cli
 from colorgames.arena import MAX_CHAIN_NODES, MAX_COLORS
 from colorgames.cli import main
 from builders import TWO_LOOPS, build_arena
-from oracles import growing_block_word
+from oracles import growing_block_word, reference_max_abs_diff
 
 
 @pytest.fixture
@@ -462,3 +463,22 @@ def test_closed_stdout_pipe_in_a_process(two_loops_file):
     assert child.wait(timeout=60) == 2
     assert "Traceback" not in err and "Exception ignored" not in err
     assert "stdout was closed" in err
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_max_abs_diff_per_block_matches_per_edge_count(k):
+    # zero-difference walks repeated from an access path, cut into blocks
+    # that end mid-walk, and random color words
+    rng = random.Random(90 + k)
+    for _ in range(40):
+        walk = [c for c in range(1, k + 1) for _ in range(rng.randint(1, 3))]
+        rng.shuffle(walk)
+        access = [rng.randint(1, k) for _ in range(rng.randint(0, 6))]
+        colors = (access + walk * rng.randint(1, 40) if rng.random() < 0.7
+                  else [rng.randint(1, k) for _ in range(rng.randint(0, 500))])
+        edges = [Edge("u", c, "u") for c in colors]
+        cuts = sorted(rng.sample(range(len(edges) + 1),
+                                 min(len(edges) + 1, rng.randint(0, 6))))
+        blocks = [edges[a:b] for a, b in zip([0] + cuts, cuts + [len(edges)])]
+        assert cli._max_abs_diff(blocks, k) == \
+            reference_max_abs_diff(edges, k)

@@ -59,7 +59,7 @@ def test_prune_keeps_only_chosen_edge():
         pruned = prune(arena, strategy)
         out = [pruned.edges[i] for i in pruned.out_edge_ids("a")]
         assert len(out) == 1
-        assert out[0].color == arena.edges[strategy.edge_for("a")].color
+        assert out[0].color == arena.edges[strategy.as_dict()["a"]].color
 
 
 def test_prune_cnf_branch_choice():

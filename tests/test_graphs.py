@@ -1,5 +1,6 @@
 """Graph decisions: systems, SCCs, decompositions, witnesses, oracles."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +9,8 @@ from math import gcd
 import pytest
 
 from colorgames import (Circulation, ContractError, FrequencyVector,
-                        LimitMatrix, build_color_limit_system,
+                        LimitMatrix, build_color_limit_system, graphs,
+                        load_arena,
                         decide_balanced_path, decide_bounded_path,
                         decide_frequency_path, decompose_circulation,
                         eulerian_circuit, frequency_to_limit,
@@ -16,8 +18,8 @@ from colorgames import (Circulation, ContractError, FrequencyVector,
                         solve_feasibility, strongly_connected_components)
 from builders import TWO_LOOPS, build_arena
 from oracles import (loop_combination_exists, random_connected_arena,
-                     random_pruning_arena, reference_surviving_edges,
-                     reference_zero_diff_support)
+                     random_pruning_arena, reference_feasibility,
+                     reference_surviving_edges, reference_zero_diff_support)
 
 
 def test_frequency_to_limit_examples():
@@ -381,3 +383,91 @@ def test_zero_limit_matrix_is_shared():
         assert LimitMatrix.zero(k) is LimitMatrix.zero(k)
         assert LimitMatrix.zero(k).is_zero() and LimitMatrix.zero(k).k == k
     assert LimitMatrix.zero(2) is not LimitMatrix.zero(3)
+
+
+def test_limit_matrix_stores_one_rate_vector():
+    lm = LimitMatrix.from_frequencies(FrequencyVector.of("1/2", "1/3", "1/6"))
+    assert lm.rates == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+    assert (lm.nums, lm.den) == ((3, 2, 1), 6)
+    assert lm.key() == lm.rates
+    assert lm.rows[0] == (0, Fraction(1, 6), Fraction(1, 3))
+    # rates given up to a common shift are stored summing to one
+    assert LimitMatrix([5, 5, 5]) == LimitMatrix.zero(3)
+    assert LimitMatrix([1, 0]).rates == (1, 0)
+    assert LimitMatrix([Fraction(1, 2), 0]).rates == (Fraction(3, 4),
+                                                     Fraction(1, 4))
+
+
+def random_frequency(rng, k):
+    weights = [rng.randint(0, 3) for _ in range(k)]
+    weights[rng.randrange(k)] += 1
+    return FrequencyVector(tuple(Fraction(w, sum(weights)) for w in weights))
+
+
+def test_rate_screen_fires_only_on_infeasible_programs(monkeypatch):
+    # whenever the screen skips a load program, the rational reference
+    # finds the per-edge system infeasible: components of seeded arenas
+    # with k = 2..5 under skewed and uniform targets, and every group
+    # that bounded support pruning forms
+    problems = []
+
+    class Recorded(graphs._LimitProblem):
+        def __init__(self, *args):
+            super().__init__(*args)
+            problems.append(self)
+
+    monkeypatch.setattr(graphs, "_LimitProblem", Recorded)
+    rng = random.Random(71)
+    for _ in range(80):
+        arena = random_connected_arena(rng, max_nodes=6, max_edges=12,
+                                       colors=(2, 3, 4, 5))
+        decide_frequency_path(arena, random_frequency(rng, arena.k))
+        decide_balanced_path(arena)
+        decide_bounded_path(arena)
+    for _ in range(80):
+        decide_bounded_path(random_pruning_arena(rng))
+
+    def no_solve(system):
+        raise AssertionError("a screened program reached the solver")
+    monkeypatch.setattr(graphs, "solve_feasibility", no_solve)
+    screened = [p for p in problems if p.screened]
+    for problem in screened:
+        assert problem.solve() is None
+        assert problem.solve(cover={0}) is None
+        system = build_color_limit_system(problem.arena, problem.edge_ids,
+                                          problem.limit)
+        assert not reference_feasibility(system).feasible
+    assert 100 < len(screened) < len(problems) - 100
+
+
+def test_rate_screen_keeps_a_target_equal_to_a_chain_rate():
+    # color 1 has rate 2/3 on the loop u a b and 1/3 on the loop u c d:
+    # targets at either end of that range stay feasible, one beyond not
+    arena = build_arena(2, [("u", 1, "a"), ("a", 1, "b"), ("b", 2, "u"),
+                            ("u", 1, "c"), ("c", 2, "d"), ("d", 2, "u")])
+    edge_ids = range(len(arena.edges))
+    for freq, loop in ((("2/3", "1/3"), "uab"), (("1/3", "2/3"), "ucd")):
+        limit = frequency_to_limit(FrequencyVector.of(*freq))
+        assert not graphs._LimitProblem(arena, edge_ids, limit).screened
+        decision = decide_frequency_path(arena, FrequencyVector.of(*freq))
+        [(path, _)] = decision.witness.loops
+        assert "".join(e.src for e in path.edges) == loop
+    beyond = frequency_to_limit(FrequencyVector.of("3/4", "1/4"))
+    assert graphs._LimitProblem(arena, edge_ids, beyond).screened
+    assert not decide_frequency_path(arena,
+                                     FrequencyVector.of("3/4", "1/4")).exists
+
+
+def test_load_program_rows_stay_linear_in_colors():
+    # k = 256 and uncolored self-loops, each a chain of 256 colors: at
+    # most (retained nodes + k) rows, where pairwise rows were 32,640
+    k = 256
+    arena = load_arena(json.dumps({
+        "k": k, "nodes": [{"id": "u", "owner": 0}], "initial": "u",
+        "edges": [{"src": "u", "color": None, "dst": "u"}] * 5}))
+    problem = graphs._LimitProblem(arena, range(len(arena.edges)),
+                                   LimitMatrix.zero(k))
+    for system in (problem.system(), problem.system(cover={0, 1})):
+        assert len(system.constraints) <= len(problem.retained) + k
+    assert decide_balanced_path(arena).exists
+    assert is_zero_diff_cycle(decide_bounded_path(arena).witness, k)

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from colorgames import (ContractError, FrequencyVector, LinearSystem,
-                        decide_bounded_path, decide_frequency_path,
-                        frequency_to_limit, integer_scale, solve_feasibility)
+from colorgames import (Constraint, ContractError, FrequencyVector,
+                        LinearSystem, decide_bounded_path,
+                        decide_frequency_path, frequency_to_limit,
+                        integer_scale, solve_feasibility)
+from colorgames.lp import factor_rows
 from oracles import (fm_feasible, random_connected_arena,
                      random_rational_system, random_system,
                      reference_feasibility)
@@ -160,9 +162,19 @@ def test_matches_rational_reference_on_load_systems(monkeypatch):
                                     for mi in range(len(problem.macros)))
         decide_bounded_path(arena)
     assert len(captured) > 1000
+    warm = 0
     for system in captured:
         assert all(system.nonneg)
-        assert solve_feasibility(system) == reference_feasibility(system)
+        result, reference = (solve_feasibility(system),
+                             reference_feasibility(system))
+        if system.start is None:  # cold: the reference's very pivots
+            assert result == reference
+        else:  # a cover solve from the factored base may end elsewhere
+            warm += 1
+            assert result.feasible == reference.feasible
+            assert not result.feasible or system.satisfied_by(
+                result.assignment)
+    assert warm > 500
 
 
 # --- nonnegativity as a column attribute --------------------------------------
@@ -220,3 +232,44 @@ def test_integer_scale_on_nonneg_systems():
                          nonneg=True)
     with pytest.raises(ContractError):
         integer_scale((Fraction(1), Fraction(2)), twice)
+
+
+def test_warm_start_from_factored_rows_matches_reference_verdicts():
+    # homogeneous rows factored once, then up to three more rows: the
+    # verdict of the cold reference, an assignment that satisfies the
+    # system, and the factored rows left untouched
+    rng = random.Random(31)
+    feasible = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        rows = [Constraint.integral([rng.randint(-3, 3) for _ in range(n)],
+                                    "=") for _ in range(rng.randint(0, 5))]
+        start = factor_rows(n, rows)
+        tableau = [list(row) for row in start.tableau]
+        assert len(start.basis) <= len(rows)
+        for _ in range(3):
+            extra = [Constraint.integral(
+                [rng.randint(-1, 2) for _ in range(n)],
+                rng.choice(["=", ">=", "<="]), rng.randint(-2, 3))
+                for _ in range(rng.randint(1, 3))]
+            warm = LinearSystem(n, [*rows, *extra], nonneg=True, start=start)
+            result = solve_feasibility(warm)
+            reference = reference_feasibility(
+                LinearSystem(n, [*rows, *extra], nonneg=True))
+            assert result.feasible == reference.feasible
+            assert not result.feasible or warm.satisfied_by(result.assignment)
+            feasible += result.feasible
+        assert [list(row) for row in start.tableau] == tableau
+    assert 200 < feasible < 1000
+
+
+def test_factored_rows_must_lead_a_nonnegative_system():
+    rows = [Constraint.integral([1, -1], "=")]
+    start = factor_rows(2, rows)
+    with pytest.raises(ContractError):
+        LinearSystem(2, rows, start=start)  # free columns
+    with pytest.raises(ContractError):
+        LinearSystem(2, [Constraint.integral([1, 1], "=")], nonneg=True,
+                     start=start)
+    with pytest.raises(ContractError):
+        factor_rows(2, [Constraint.integral([1, 1], ">=")])

@@ -1,11 +1,17 @@
-"""Metamorphic properties of the game solver: transformations that keep
-the game the same must keep its winner, and the decision cache must not
-change any answer.  Seeded; every case is reproducible."""
+"""Metamorphic properties of the game solver and the one-player
+deciders: transformations that keep the game or graph the same must keep
+its answer, and the decision cache must not change any answer.  Seeded;
+every case is reproducible."""
 
 import random
 
+from fractions import Fraction
+
 from colorgames import (ColoredArena, Edge, FrequencyVector, Goal, Node,
-                        cnf_to_arena, decide_winner)
+                        cnf_to_arena, decide_balanced_path,
+                        decide_bounded_path, decide_frequency_path,
+                        decide_winner, frequency_to_limit,
+                        is_zero_diff_cycle, loop_ratio_matches)
 from oracles import (random_connected_arena, random_formula,
                      reference_decide_winner)
 
@@ -104,3 +110,55 @@ def test_warm_cache_answers_like_a_cold_one():
                 assert (hot.winner, hot.witness, hot.log) == \
                     (cold.winner, cold.witness, cold.log) == \
                     reference_decide_winner(variant, goal, None)
+
+
+# --- one-player deciders --------------------------------------------------------
+
+
+def recolored(arena, perm):
+    """Color c becomes perm[c - 1]."""
+    return ColoredArena(arena.k, arena.nodes, arena.initial,
+                        [Edge(e.src, perm[e.color - 1], e.dst)
+                         for e in arena.edges])
+
+
+def one_player_answers(arena, freq):
+    """Verdicts of the three one-player goals, each witness checked."""
+    answers = []
+    for decision, ok in (
+            (decide_frequency_path(arena, freq), lambda w: loop_ratio_matches(
+                w, frequency_to_limit(freq))),
+            (decide_balanced_path(arena), lambda w: loop_ratio_matches(
+                w, frequency_to_limit(FrequencyVector.uniform(arena.k)))),
+            (decide_bounded_path(arena),
+             lambda w: is_zero_diff_cycle(w, arena.k))):
+        assert not decision.exists or ok(decision.witness)
+        answers.append(decision.exists)
+    return answers
+
+
+def test_one_player_answers_survive_recoloring_and_relabeling():
+    # a color permutation with the frequency vector permuted alike, node
+    # relabeling and edge reordering keep every one-player verdict
+    rng = random.Random(517)
+    exists = [0, 0, 0]
+    for _ in range(120):
+        arena = random_connected_arena(rng, max_nodes=6, max_edges=11,
+                                       colors=(2, 3, 4))
+        k = arena.k
+        weights = [rng.randint(0, 3) for _ in range(k)]
+        weights[rng.randrange(k)] += 1
+        freq = FrequencyVector(tuple(Fraction(w, sum(weights))
+                                     for w in weights))
+        answers = one_player_answers(arena, freq)
+        exists = [n + a for n, a in zip(exists, answers)]
+        perm = list(range(1, k + 1))
+        rng.shuffle(perm)
+        moved = [None] * k
+        for a, v in enumerate(freq):
+            moved[perm[a] - 1] = v
+        assert one_player_answers(recolored(arena, perm),
+                                  FrequencyVector(tuple(moved))) == answers
+        for transform in (relabeled, edges_shuffled):
+            assert one_player_answers(transform(arena, rng), freq) == answers
+    assert all(10 < n < 110 for n in exists), exists

@@ -330,6 +330,20 @@ def test_convergence_profile_counts_every_color(k):
         reference_profile(edges, marks, limit)
 
 
+@pytest.mark.parametrize("k", [1, 3, 17, 256])
+def test_worst_gap_from_the_rate_vector_matches_pairwise_gaps(k):
+    # max_a d_a - min_a d_a, d_a = c_a/pos - r_a, is the largest pairwise
+    # gap: the same Fraction as the per-pair reference, skewed rates too
+    rng = random.Random(47 + k)
+    for _ in range(3):
+        limit = random_limit(rng, k)
+        edges = [Edge("u", rng.choice((1, k, rng.randint(1, k))), "u")
+                 for _ in range(rng.randint(1, 2000))]
+        marks = sorted({rng.randint(1, len(edges)) for _ in range(3)})
+        assert convergence_profile(edges, marks, limit) == \
+            reference_profile(edges, marks, limit)
+
+
 def test_short_stream_raises_contract_error():
     edges = [Edge("u", 1 + i % 2, "u") for i in range(5)]
     with pytest.raises(ContractError):

@@ -1,0 +1,99 @@
+"""Deterministic LP counts per benchmark pass, counted from outside
+perfbench by wrapping library attributes.
+
+    python3 tools/lpcounts.py --src src --workload graph-decide --seed 1
+
+Runs one pass of a perfbench workload against the library under
+``--src`` (any checkout) and prints one JSON line: LP solves (and how
+many started from a factored basis), phase-1 pivots, factorization
+pivots, solves the rate screen skipped, the final synth-stream deviation
+of every request, and the best of ``--repeats`` in-process pass times.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import random
+import sys
+import time
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args()
+    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "perfbench")]
+    from workloads import WORKLOADS
+    lib = SimpleNamespace(**{m: importlib.import_module(f"colorgames.{m}")
+                             for m in ("arena", "games", "graphs", "lp",
+                                       "reductions", "synth")})
+    workload = WORKLOADS[args.workload]
+    requests = workload.generate(
+        lib, random.Random(f"{args.workload}:{args.seed}"))
+
+    def one_pass():
+        cache = {} if workload.uses_cache else None
+        return [workload.run(lib, req, cache) for req in requests]
+
+    best = min(_timed(one_pass) for _ in range(args.repeats))
+    counts = dict.fromkeys(("solves", "warm_solves", "phase1_pivots",
+                            "factor_pivots", "screened"), 0)
+    graphs, lp = lib.graphs, lib.lp
+    state = {"factoring": False}
+    solve, pivot = graphs.solve_feasibility, lp._pivot
+
+    def counted_solve(system):
+        counts["solves"] += 1
+        counts["warm_solves"] += getattr(system, "start", None) is not None
+        return solve(system)
+
+    def counted_pivot(*a):
+        counts["factor_pivots" if state["factoring"]
+               else "phase1_pivots"] += 1
+        return pivot(*a)
+
+    graphs.solve_feasibility, lp._pivot = counted_solve, counted_pivot
+    if hasattr(graphs, "factor_rows"):
+        factor = graphs.factor_rows
+
+        def counted_factor(*a):
+            state["factoring"] = True
+            try:
+                return factor(*a)
+            finally:
+                state["factoring"] = False
+        graphs.factor_rows = counted_factor
+    problem_cls = graphs._LimitProblem
+
+    class Counted(problem_cls):
+        def solve(self, cover=None):
+            counts["screened"] += bool(getattr(self, "screened", False))
+            return super().solve(cover)
+    graphs._LimitProblem = Counted
+    outcomes = one_pass()
+    deviations = [str(o.profile[-1][1]) for o in outcomes
+                  if getattr(o, "profile", None)]
+    print(json.dumps({"workload": args.workload, "seed": args.seed,
+                      "requests": len(requests), **counts,
+                      "best_pass_s": round(best, 4),
+                      "deviations": deviations}))
+    return 0
+
+
+def _timed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+if __name__ == "__main__":
+    sys.exit(main())
