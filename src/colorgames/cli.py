@@ -17,7 +17,7 @@ import sys
 import time
 import traceback
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain
 
 from .arena import (ArenaError, ColoredArena, ContractError, Edge,
                     FinitePath, FrequencyVector, Goal, RawArena,
@@ -175,8 +175,8 @@ def _cmd_synth(args, started: float) -> int:
             "bound": path_stream.bound,
         }
 
-        def measure(blocks) -> dict:
-            return {"max_abs_diff": _max_abs_diff(blocks, arena.k)}
+        def measure(edges) -> dict:
+            return {"max_abs_diff": _max_abs_diff(edges, arena.k)}
     else:
         limit = (LimitMatrix.zero(arena.k) if goal.kind == "balanced"
                  else frequency_to_limit(goal.freq))
@@ -187,9 +187,8 @@ def _cmd_synth(args, started: float) -> int:
         # one mark per block keeps each counted segment one block long
         marks = [*range(PREFIX_BLOCK, n, PREFIX_BLOCK), n]
 
-        def measure(blocks) -> dict:
-            profile = convergence_profile(chain.from_iterable(blocks), marks,
-                                          limit)
+        def measure(edges) -> dict:
+            profile = convergence_profile(edges, marks, limit)
             return {"deviation": str(profile[-1][1])}
 
     if n <= MAX_INLINE_PREFIX:
@@ -204,10 +203,10 @@ def _cmd_synth(args, started: float) -> int:
         except OSError as exc:
             raise CliError(f"cannot write {args.prefix_out}: {exc}") from exc
         with fh:
-            measured = measure(_written(blocks, fh))
+            measured = measure(chain.from_iterable(_written(blocks, fh)))
         report["prefix_out"] = {"path": args.prefix_out, "length": n}
     else:
-        measured = measure(blocks)
+        measured = measure(chain.from_iterable(blocks))
     report["convergence"] = {"prefix_length": n, **measured}
     ok = (goal.kind != "bounded"
           or measured["max_abs_diff"] <= path_stream.bound)
@@ -229,29 +228,24 @@ def _written(blocks, fh):
         yield block
 
 
-def _max_abs_diff(blocks, k: int) -> int:
+def _max_abs_diff(edges, k: int) -> int:
     """Largest spread max - min of the color counts over all prefixes.
-    Up to three colors, each color pair's running difference is one
-    ``accumulate`` per block, in C; more are counted edge by edge."""
+    Counts only grow, so the spread can only rise with the maximum; the
+    minimum is rescanned only when the last color at it moves up."""
     counts = [0] * k
-    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
-    worst = 0
-    for block in blocks:
-        colors = [e.color - 1 for e in block]
-        if len(pairs) > 3:
-            for c in colors:
-                counts[c] += 1
-                spread = max(counts) - min(counts)
-                if spread > worst:
-                    worst = spread
-            continue
-        for a, b in pairs:
-            weight = [0] * k
-            weight[a], weight[b] = 1, -1
-            run = list(accumulate(map(weight.__getitem__, colors),
-                                  initial=counts[a] - counts[b]))
-            worst = max(worst, max(run), -min(run))
-        counts = [have + colors.count(c) for c, have in enumerate(counts)]
+    hi = lo = worst = 0
+    at_lo = k
+    for e in edges:
+        c = e.color - 1
+        v = counts[c] = counts[c] + 1
+        if v == lo + 1:
+            at_lo -= 1
+            if not at_lo:
+                lo = v
+                at_lo = counts.count(v)
+        if v > hi:
+            hi = v
+            worst = max(worst, v - lo)
     return worst
 
 

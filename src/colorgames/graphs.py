@@ -43,15 +43,15 @@ class InternalCheckError(RuntimeError):
 
 class LimitMatrix:
     """Target rates r_a = nums[a-1] / den, the desired limits of
-    count_a(prefix) / len(prefix).  They are given up to a common shift
-    and stored summing to one, so the pairwise difference rates
-    ``rows[a][b]`` = r_a - r_b, derived on demand, determine them."""
+    count_a(prefix) / len(prefix); they sum to one, so the pairwise
+    difference rates ``rows[a][b]`` = r_a - r_b, derived on demand,
+    determine them."""
 
     def __init__(self, rates: Sequence[Fraction]):
-        rates = [Fraction(v) for v in rates]
-        self.k = k = len(rates)
-        shift = (1 - sum(rates)) / k if k else 0
-        self.rates = tuple(v + shift for v in rates)
+        self.rates = tuple(Fraction(v) for v in rates)
+        if sum(self.rates) != 1:
+            raise ContractError("target rates must sum to one")
+        self.k = len(self.rates)
         self.den = lcm(*(v.denominator for v in self.rates))
         self.nums = tuple(v.numerator * (self.den // v.denominator)
                           for v in self.rates)

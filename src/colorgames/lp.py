@@ -225,7 +225,9 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
         zrow = [z - f * v for z, v in zip(zrow, row)]
     zrow = _primitive(zrow)
 
-    max_iters = 1000 + 50 * (2 * len(rows) + nstruct)
+    # every tableau row counts, factored ones too, so that a warm and a
+    # cold solve of one system get the same budget
+    max_iters = 1000 + 50 * (2 * len(tableau) + nstruct)
     for _ in range(max_iters):
         # Bland: entering column is the smallest index with negative
         # reduced cost.

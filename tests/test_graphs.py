@@ -391,11 +391,11 @@ def test_limit_matrix_stores_one_rate_vector():
     assert (lm.nums, lm.den) == ((3, 2, 1), 6)
     assert lm.key() == lm.rates
     assert lm.rows[0] == (0, Fraction(1, 6), Fraction(1, 3))
-    # rates given up to a common shift are stored summing to one
-    assert LimitMatrix([5, 5, 5]) == LimitMatrix.zero(3)
     assert LimitMatrix([1, 0]).rates == (1, 0)
-    assert LimitMatrix([Fraction(1, 2), 0]).rates == (Fraction(3, 4),
-                                                     Fraction(1, 4))
+    # rates are stored as given and must sum to one
+    for rates in ([5, 5, 5], [Fraction(1, 2), 0], []):
+        with pytest.raises(ContractError):
+            LimitMatrix(rates)
 
 
 def random_frequency(rng, k):
