@@ -24,7 +24,7 @@ from .reductions import (CnfFormula, DimacsError, SchedulerPolicy,
                          parse_dimacs, scheduler_arena,
                          simulate_scheduler_policy, tautology_bruteforce)
 from .synth import (PathSchedule, PathStream, bounded_witness_stream,
-                    build_schedule, convergence_profile, measure_convergence,
-                    stream)
+                    build_schedule, convergence_profile, max_abs_diff,
+                    measure_convergence, stream)
 
 __version__ = "0.1.0"

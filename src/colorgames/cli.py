@@ -23,12 +23,11 @@ from .arena import (ArenaError, ColoredArena, ContractError, Edge,
                     FinitePath, FrequencyVector, Goal, RawArena,
                     load_arena, load_raw_arena)
 from .games import StrategyBudgetError, decide_winner, graph_decide
-from .graphs import (LimitMatrix, LoopSet, frequency_to_limit,
-                     strongly_connected_components)
+from .graphs import LimitMatrix, LoopSet, frequency_to_limit
 from .reductions import (DimacsError, cnf_to_raw_arena, parse_dimacs,
                          scheduler_arena)
 from .synth import (bounded_witness_stream, build_schedule,
-                    convergence_profile, shortest_path, stream)
+                    convergence_profile, max_abs_diff, shortest_path, stream)
 
 SCHEMA = 1
 
@@ -176,7 +175,7 @@ def _cmd_synth(args, started: float) -> int:
         }
 
         def measure(edges) -> dict:
-            return {"max_abs_diff": _max_abs_diff(edges, arena.k)}
+            return {"max_abs_diff": max_abs_diff(edges, arena.k)}
     else:
         limit = (LimitMatrix.zero(arena.k) if goal.kind == "balanced"
                  else frequency_to_limit(goal.freq))
@@ -226,27 +225,6 @@ def _written(blocks, fh):
     for block in blocks:
         fh.write("".join([f"{e.src} {e.color} {e.dst}\n" for e in block]))
         yield block
-
-
-def _max_abs_diff(edges, k: int) -> int:
-    """Largest spread max - min of the color counts over all prefixes.
-    Counts only grow, so the spread can only rise with the maximum; the
-    minimum is rescanned only when the last color at it moves up."""
-    counts = [0] * k
-    hi = lo = worst = 0
-    at_lo = k
-    for e in edges:
-        c = e.color - 1
-        v = counts[c] = counts[c] + 1
-        if v == lo + 1:
-            at_lo -= 1
-            if not at_lo:
-                lo = v
-                at_lo = counts.count(v)
-        if v > hi:
-            hi = v
-            worst = max(worst, v - lo)
-    return worst
 
 
 def _cmd_gen(args, started: float) -> int:
@@ -318,21 +296,19 @@ def _cmd_verify(args, started: float) -> int:
     k = arena.k
     counts = [0] * k
     peak = [[0] * k for _ in range(k)]
-    worst = 0
     colored_steps = 0
     for e in edges:
         if e.color is None:
             continue
         colored_steps += 1
-        counts[e.color - 1] += 1
-        for a in range(k):
-            for b in range(k):
-                d = counts[a] - counts[b]
-                if d > peak[a][b]:
-                    peak[a][b] = d
-        spread = max(counts) - min(counts)
-        if spread > worst:
-            worst = spread
+        c = e.color - 1
+        counts[c] += 1
+        # only differences counts[c] - counts[b] rose, all in row c
+        here = counts[c]
+        peak[c] = [p if p >= here - v else here - v
+                   for p, v in zip(peak[c], counts)]
+    # the largest spread over all prefixes is the largest peak difference
+    worst = max(map(max, peak))
     result = {
         "length": len(edges),
         "colored_steps": colored_steps,

@@ -19,12 +19,12 @@ circuit is the witness walk.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .arena import (ColoredArena, ContractError, FinitePath, FrequencyVector,
                     color_counts)
@@ -181,19 +181,20 @@ def strongly_connected_components(arena: ColoredArena) -> SccResult:
     return SccResult(components, comp_of, reachable)
 
 
-def _component_edge_ids(arena: ColoredArena, scc: SccResult) -> list[list[int]]:
+def _reachable_components(arena: ColoredArena) -> Iterator[list[int]]:
+    """Internal edge ids, ascending, of each reachable strongly connected
+    component that has an edge, ordered by the component's smallest node
+    index."""
+    scc = strongly_connected_components(arena)
     buckets: list[list[int]] = [[] for _ in scc.components]
     for eid, e in enumerate(arena.edges):
         ci = scc.comp_of[e.src]
         if scc.comp_of[e.dst] == ci:
             buckets[ci].append(eid)
-    return buckets
-
-
-def _component_order(arena: ColoredArena, scc: SccResult) -> list[int]:
-    def smallest(ci):
-        return min(arena.node_index[v] for v in scc.components[ci])
-    return sorted(range(len(scc.components)), key=smallest)
+    for ci in sorted(range(len(buckets)),
+                     key=lambda i: arena.node_index[scc.components[i][0]]):
+        if scc.reachable[ci] and buckets[ci]:
+            yield buckets[ci]
 
 
 # --- the load system --------------------------------------------------------
@@ -308,32 +309,30 @@ class _LimitProblem:
                             for row in self.rate_rows)
 
     @cached_property
-    def base_rows(self) -> list[Constraint]:
-        """Flow conservation per retained node, then k - 1 rate rows."""
+    def factored(self) -> FactoredRows:
+        """Flow conservation per retained node, then k - 1 rate rows,
+        factored once per problem."""
         flow = {v: [0] * len(self.macros) for v in self.retained}
         for mi, (src, dst, _, _) in enumerate(self.macros):
             flow[dst][mi] += 1
             flow[src][mi] -= 1
-        return [Constraint.integral(row, "=") for row in
-                [*map(flow.get, self.retained), *self.rate_rows[:-1]]]
-
-    @cached_property
-    def factored(self) -> FactoredRows:
-        return factor_rows(len(self.macros), self.base_rows)
+        return factor_rows(len(self.macros), [
+            Constraint.integral(row, "=") for row in
+            [*map(flow.get, self.retained), *self.rate_rows[:-1]]])
 
     def system(self, cover: set[int] | None = None) -> LinearSystem:
-        """The contracted load system.  Without ``cover`` it is normalized
-        like ``build_color_limit_system``; with a set of macro indices the
-        row sum_{m in cover} y_m >= 1 is emitted instead, and the system
-        starts from the base rows factored once per problem."""
-        nvars = len(self.macros)
+        """The contracted load system, starting from the factored rows.
+        Without ``cover`` it is normalized like
+        ``build_color_limit_system``; with a set of macro indices the row
+        sum_{m in cover} y_m >= 1 is emitted instead."""
         if cover is None:
-            return LinearSystem(nvars, [*self.base_rows, Constraint.integral(
-                [len(chain) for _, _, chain, _ in self.macros], "=", 1)],
-                nonneg=True)
-        return LinearSystem(nvars, [*self.factored.rows, Constraint.integral(
-            [int(mi in cover) for mi in range(nvars)], ">=", 1)],
-            nonneg=True, start=self.factored)
+            row = Constraint.integral(
+                [len(chain) for _, _, chain, _ in self.macros], "=", 1)
+        else:
+            row = Constraint.integral(
+                [int(mi in cover) for mi in range(len(self.macros))], ">=", 1)
+        return LinearSystem(len(self.macros), [*self.factored.rows, row],
+                            nonneg=True, start=self.factored)
 
     def solve(self, cover: set[int] | None = None) -> list[int] | None:
         """Primitive integer macro loads of a feasible solution, or None;
@@ -390,7 +389,6 @@ class LoopSet:
     connected component."""
 
     loops: tuple[tuple[FinitePath, int], ...]
-    scc: int | None = None
 
     def total_length(self) -> int:
         return sum(c * len(p) for p, c in self.loops)
@@ -687,17 +685,13 @@ def _decide_limit_path(arena: ColoredArena, limit: LimitMatrix,
 def _compute_limit_path(arena: ColoredArena, limit: LimitMatrix) -> GraphDecision:
     if limit.k != arena.k:
         raise ContractError("limit arity does not match arena colors")
-    scc = strongly_connected_components(arena)
-    buckets = _component_edge_ids(arena, scc)
-    for ci in _component_order(arena, scc):
-        if not scc.reachable[ci] or not buckets[ci]:
-            continue
-        problem = _LimitProblem(arena, buckets[ci], limit)
+    for edge_ids in _reachable_components(arena):
+        problem = _LimitProblem(arena, edge_ids, limit)
         loads = problem.solve()
         if loads is None:
             continue
         circ = Circulation(problem.expand(loads))
-        loop_set = replace(decompose_circulation(arena, circ), scc=ci)
+        loop_set = decompose_circulation(arena, circ)
         if not loop_ratio_matches(loop_set, limit):
             raise InternalCheckError("loop set does not match the target "
                                      "rates")
@@ -783,12 +777,8 @@ def _restore_bounded_decision(arena, order, stored):
 
 def _compute_bounded_path(arena: ColoredArena) -> GraphDecision:
     zero = LimitMatrix.zero(arena.k)
-    scc = strongly_connected_components(arena)
-    buckets = _component_edge_ids(arena, scc)
-    for ci in _component_order(arena, scc):
-        if not scc.reachable[ci] or not buckets[ci]:
-            continue
-        walk = _zero_diff_component_walk(arena, sorted(buckets[ci]), zero)
+    for edge_ids in _reachable_components(arena):
+        walk = _zero_diff_component_walk(arena, edge_ids, zero)
         if walk is not None:
             if not is_zero_diff_cycle(walk, arena.k):
                 raise InternalCheckError("witness walk has nonzero "
@@ -808,13 +798,13 @@ def _zero_diff_component_walk(arena, edge_ids, zero):
     strictly each round, so at most |E| rounds.  When every chain of a
     group is loaded, the sum of the round's solutions is a full-support
     zero-difference circulation and its Eulerian circuit is the walk.
+    The component's edges are strongly connected, so round 1 has one
+    group; later rounds split the survivors into their components.
     """
-    current = list(edge_ids)
+    groups = [edge_ids]
     for _ in range(len(edge_ids) + 1):
-        if not current:
-            return None
-        new_current: list[int] = []
-        for group in _edge_groups_by_scc(arena, current):
+        kept: list[int] = []
+        for group in groups:
             problem = _LimitProblem(arena, group, zero)
             uncovered = set(range(len(problem.macros)))
             total = [0] * len(problem.macros)
@@ -829,8 +819,10 @@ def _zero_diff_component_walk(arena, edge_ids, zero):
             survivors = problem.expand(total)
             if not uncovered:
                 return eulerian_circuit(arena, Circulation(survivors))
-            new_current.extend(survivors)
-        current = sorted(new_current)
+            kept.extend(survivors)
+        if not kept:
+            return None
+        groups = _edge_groups_by_scc(arena, kept)
     raise InternalCheckError("support pruning failed to converge")
 
 

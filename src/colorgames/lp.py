@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, mul
 
 from .arena import ContractError
 
@@ -45,7 +45,7 @@ class Constraint:
         """Does the constraint hold at x / den (den > 0)?  Exact for
         rational x, and free of Fraction arithmetic for integral x."""
         a, b, _ = self.integer_row
-        lhs = sum(c * v for c, v in zip(a, x) if c)
+        lhs = sum(map(mul, a, x))
         if self.relation == "=":
             return lhs == b * den
         if self.relation == "<=":
@@ -112,10 +112,10 @@ class LinearSystem:
         of rationals (ints or Fractions)."""
         if len(x) != self.num_vars:
             return False
-        if any(v < 0 for v, nn in zip(x, self.nonneg) if nn):
-            return False
         den = lcm(*map(_denominator, x))
         xs = [v.numerator * (den // v.denominator) for v in x]
+        if any(v < 0 for v, nn in zip(xs, self.nonneg) if nn):
+            return False
         return all(con.holds(xs, den) for con in self.constraints)
 
 

@@ -263,13 +263,27 @@ def bounded_witness_stream(walk: FinitePath, access: tuple[Edge, ...],
         raise ContractError("access path does not reach the walk")
 
     # prefix differences repeat after the first walk period
-    running = [0] * k
-    bound = 0
-    for e in list(access) + list(walk.edges):
-        running[e.color - 1] += 1
-        spread = max(running) - min(running)
-        if spread > bound:
-            bound = spread
-
+    bound = max_abs_diff(chain(access, walk.edges), k)
     start = access[0].src if access else walk.start
     return PathStream(start, chain(access, cycle(walk.edges)), bound=bound)
+
+
+def max_abs_diff(edges: Iterable[Edge], k: int) -> int:
+    """Largest spread max - min of the color counts over all prefixes.
+    Counts only grow, so the spread can only rise with the maximum; the
+    minimum is rescanned only when the last color at it moves up."""
+    counts = [0] * k
+    hi = lo = worst = 0
+    at_lo = k
+    for e in edges:
+        c = e.color - 1
+        v = counts[c] = counts[c] + 1
+        if v == lo + 1:
+            at_lo -= 1
+            if not at_lo:
+                lo = v
+                at_lo = counts.count(v)
+        if v > hi:
+            hi = v
+            worst = max(worst, v - lo)
+    return worst

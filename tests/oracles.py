@@ -409,6 +409,12 @@ def _strong_groups(arena: ColoredArena, edge_ids) -> list[list[int]]:
     return sorted(groups.values(), key=lambda g: g[0])
 
 
+def component_edge_ids(arena: ColoredArena) -> list[list[int]]:
+    """Internal edges of every strongly connected component that has one,
+    reachable or not; one list per component, ordered by smallest edge."""
+    return _strong_groups(arena, range(len(arena.edges)))
+
+
 def reference_surviving_edges(arena: ColoredArena, group) -> set[int]:
     """Edges of the group that carry load in some zero-difference
     circulation over the group: one normalized solve, then one solve
@@ -523,6 +529,30 @@ def reference_profile(edges: Iterable[Edge], marks: list[int],
              for a in range(k) for b in range(a + 1, k)),
             default=Fraction(0))))
     return out
+
+
+def reference_verify_peaks(edges: Iterable[Edge], k: int
+                           ) -> tuple[int, list[list[int]]]:
+    """The largest spread max - min of the color counts over all prefixes
+    and the peak matrix of counts_a - counts_b, updating every entry and
+    rescanning the counts at every colored step; uncolored steps (color
+    None) count toward no color."""
+    counts = [0] * k
+    peak = [[0] * k for _ in range(k)]
+    worst = 0
+    for e in edges:
+        if e.color is None:
+            continue
+        counts[e.color - 1] += 1
+        for a in range(k):
+            for b in range(k):
+                d = counts[a] - counts[b]
+                if d > peak[a][b]:
+                    peak[a][b] = d
+        spread = max(counts) - min(counts)
+        if spread > worst:
+            worst = spread
+    return worst, peak
 
 
 def reference_max_abs_diff(edges: Iterable[Edge], k: int) -> int:

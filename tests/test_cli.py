@@ -17,8 +17,10 @@ from colorgames import (Edge, InternalCheckError, graphs, scheduler_arena,
 from colorgames import cli
 from colorgames.arena import MAX_CHAIN_NODES, MAX_COLORS
 from colorgames.cli import main
+from colorgames.synth import max_abs_diff
 from builders import TWO_LOOPS, build_arena
-from oracles import growing_block_word, reference_max_abs_diff
+from oracles import (growing_block_word, reference_max_abs_diff,
+                     reference_verify_peaks)
 
 
 @pytest.fixture
@@ -477,5 +479,28 @@ def test_max_abs_diff_matches_per_edge_count(k):
         colors = (access + walk * rng.randint(1, 40) if rng.random() < 0.7
                   else [rng.randint(1, k) for _ in range(rng.randint(0, 500))])
         edges = [Edge("u", c, "u") for c in colors]
-        assert cli._max_abs_diff(edges, k) == \
-            reference_max_abs_diff(edges, k)
+        assert max_abs_diff(edges, k) == reference_max_abs_diff(edges, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 16])
+def test_verify_matches_per_entry_peak_reference(k, tmp_path, capsys):
+    # random prefixes over one node's self-loops, uncolored steps mixed in
+    arena_path = tmp_path / "loops.json"
+    arena_path.write_text(json.dumps({
+        "k": k, "nodes": [{"id": "u", "owner": 0}], "initial": "u",
+        "edges": [{"src": "u", "color": c, "dst": "u"}
+                  for c in [*range(1, k + 1), None]]}))
+    prefix = tmp_path / "prefix.txt"
+    rng = random.Random(40 + k)
+    for _ in range(8):
+        colors = [None if rng.random() < 0.2 else rng.randint(1, k)
+                  for _ in range(rng.randint(1, 300))]
+        prefix.write_text("".join(
+            f"u {'null' if c is None else c} u\n" for c in colors))
+        code, report = run_cli(capsys, "verify", "--arena", str(arena_path),
+                               "--prefix", str(prefix))
+        assert code == 0
+        worst, peak = reference_verify_peaks(
+            [Edge("u", c, "u") for c in colors], k)
+        assert report["result"]["max_abs_diff"] == worst
+        assert report["result"]["max_diff_matrix"] == peak

@@ -17,7 +17,8 @@ from colorgames import (Circulation, ContractError, FrequencyVector,
                         is_zero_diff_cycle, loop_ratio_matches,
                         solve_feasibility, strongly_connected_components)
 from builders import TWO_LOOPS, build_arena
-from oracles import (loop_combination_exists, random_connected_arena,
+from oracles import (component_edge_ids, loop_combination_exists,
+                     random_connected_arena,
                      random_pruning_arena, reference_feasibility,
                      reference_surviving_edges, reference_zero_diff_support)
 
@@ -274,18 +275,14 @@ def test_cache_transfers_between_isomorphic_arenas():
 def test_contracted_and_edge_level_systems_agree():
     # the chain-contracted system used internally must be feasible for
     # exactly the edge sets where the per-edge system is
-    from colorgames.graphs import (_LimitProblem, _component_edge_ids,
-                                   strongly_connected_components)
+    from colorgames.graphs import _LimitProblem
     rng = random.Random(61)
     targets = {2: [LimitMatrix.zero(2),
                    frequency_to_limit(FrequencyVector.of("1/3", "2/3"))],
                3: [LimitMatrix.zero(3)]}
     for _ in range(40):
         arena = random_connected_arena(rng)
-        scc = strongly_connected_components(arena)
-        for eids in _component_edge_ids(arena, scc):
-            if not eids:
-                continue
+        for eids in component_edge_ids(arena):
             for lm in targets[arena.k]:
                 direct = solve_feasibility(
                     build_color_limit_system(arena, eids, lm)).feasible
@@ -320,7 +317,7 @@ def test_cover_row_pruning_matches_forced_edge_reference(monkeypatch):
         return solve_feasibility(system)
 
     def counted_walk(*args, walk=graphs._zero_diff_component_walk):
-        rounds.append(0)
+        rounds.append(1)  # round 1 prunes the component as one group
         return walk(*args)
 
     def counted_groups(*args, groups=graphs._edge_groups_by_scc):

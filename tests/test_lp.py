@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from colorgames import (Constraint, ContractError, FrequencyVector,
-                        LinearSystem, decide_bounded_path,
-                        decide_frequency_path, frequency_to_limit,
-                        integer_scale, solve_feasibility)
+                        LinearSystem, build_color_limit_system,
+                        decide_bounded_path, decide_frequency_path,
+                        frequency_to_limit, integer_scale, solve_feasibility)
 from colorgames.lp import factor_rows
-from oracles import (fm_feasible, random_connected_arena,
+from oracles import (component_edge_ids, fm_feasible, random_connected_arena,
                      random_rational_system, random_system,
                      reference_feasibility)
 
@@ -134,8 +134,7 @@ def test_matches_rational_reference_on_random_systems():
 
 def test_matches_rational_reference_on_load_systems(monkeypatch):
     from colorgames import graphs
-    from colorgames.graphs import (_LimitProblem, _component_edge_ids,
-                                   strongly_connected_components)
+    from colorgames.graphs import _LimitProblem
     captured = []
 
     def recording(system):
@@ -151,30 +150,32 @@ def test_matches_rational_reference_on_load_systems(monkeypatch):
         for freq in targets[arena.k] + [FrequencyVector.uniform(arena.k)]:
             decide_frequency_path(arena, freq)
             limit = frequency_to_limit(freq)
-            scc = strongly_connected_components(arena)
-            for eids in _component_edge_ids(arena, scc):
-                if eids:
-                    problem = _LimitProblem(arena, eids, limit)
-                    captured.append(problem.system())
-                    captured.append(problem.system(
-                        cover=set(range(len(problem.macros)))))
-                    captured.extend(problem.system(cover={mi})
-                                    for mi in range(len(problem.macros)))
+            for eids in component_edge_ids(arena):
+                # the per-edge system keeps exact-pivot coverage of cold
+                # load-shaped systems, as every load program starts warm
+                captured.append(build_color_limit_system(arena, eids, limit))
+                problem = _LimitProblem(arena, eids, limit)
+                captured.append(problem.system())
+                captured.append(problem.system(
+                    cover=set(range(len(problem.macros)))))
+                captured.extend(problem.system(cover={mi})
+                                for mi in range(len(problem.macros)))
         decide_bounded_path(arena)
     assert len(captured) > 1000
-    warm = 0
+    cold = warm = 0
     for system in captured:
         assert all(system.nonneg)
         result, reference = (solve_feasibility(system),
                              reference_feasibility(system))
         if system.start is None:  # cold: the reference's very pivots
+            cold += 1
             assert result == reference
         else:  # a cover solve from the factored base may end elsewhere
             warm += 1
             assert result.feasible == reference.feasible
             assert not result.feasible or system.satisfied_by(
                 result.assignment)
-    assert warm > 500
+    assert cold > 100 and warm > 500
 
 
 # --- nonnegativity as a column attribute --------------------------------------

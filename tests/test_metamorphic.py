@@ -4,16 +4,16 @@ its answer, and the decision cache must not change any answer.  Seeded;
 every case is reproducible."""
 
 import random
-
+from collections import Counter
 from fractions import Fraction
 
 from colorgames import (ColoredArena, Edge, FrequencyVector, Goal, Node,
-                        cnf_to_arena, decide_balanced_path,
+                        RawArena, cnf_to_arena, decide_balanced_path,
                         decide_bounded_path, decide_frequency_path,
                         decide_winner, frequency_to_limit,
                         is_zero_diff_cycle, loop_ratio_matches)
 from oracles import (random_connected_arena, random_formula,
-                     reference_decide_winner)
+                     random_raw_arena, reference_decide_winner)
 
 FREQ = {2: FrequencyVector.of("1/3", "2/3"),
         3: FrequencyVector.of("1/2", "1/4", "1/4")}
@@ -162,3 +162,55 @@ def test_one_player_answers_survive_recoloring_and_relabeling():
         for transform in (relabeled, edges_shuffled):
             assert one_player_answers(transform(arena, rng), freq) == answers
     assert all(10 < n < 110 for n in exists), exists
+
+
+def folded_chains(arena, rng):
+    """The raw arena with chains colored 1..k through player-0 nodes that
+    have no other edge folded back into uncolored edges, each chain with
+    probability 3/4, and the number of chains folded.  Such a node has
+    its one in-edge on the chain, so chains from other nodes are
+    disjoint."""
+    k = arena.k
+    indeg = Counter(e.dst for e in arena.edges)
+    inner = {nd.id for nd in arena.nodes
+             if nd.owner == 0 and nd.id != arena.initial
+             and indeg[nd.id] == 1 and len(arena.out_edge_ids(nd.id)) == 1}
+    fold: dict[int, str] = {}  # first chain edge -> chain end
+    skip: set[int] = set()
+    for eid, e in enumerate(arena.edges):
+        if e.src in inner:
+            continue
+        chain = [eid]
+        while len(chain) < k and arena.edges[chain[-1]].dst in inner:
+            chain.extend(arena.out_edge_ids(arena.edges[chain[-1]].dst))
+        if [arena.edges[i].color for i in chain] == list(range(1, k + 1)) \
+                and rng.random() < 0.75:
+            fold[eid] = arena.edges[chain[-1]].dst
+            skip.update(chain[1:])
+    dropped = {arena.edges[i].src for i in skip}
+    nodes = [nd for nd in arena.nodes if nd.id not in dropped]
+    edges = [Edge(e.src, None, fold[eid]) if eid in fold else e
+             for eid, e in enumerate(arena.edges) if eid not in skip]
+    return RawArena(k, nodes, arena.initial, edges), len(fold)
+
+
+def test_uncolored_expansion_keeps_every_answer():
+    # an arena's 1..k chains folded back into uncolored edges, then
+    # expanded again in another edge order, so under other fresh names:
+    # the one-player verdicts and the game winner stay the same
+    rng = random.Random(518)
+    folded_total = 0
+    for _ in range(120):
+        arena = random_raw_arena(rng).desugar()
+        raw, folded = folded_chains(arena, rng)
+        folded_total += folded
+        edges = list(raw.edges)
+        rng.shuffle(edges)
+        again = RawArena(raw.k, raw.nodes, raw.initial, edges).desugar()
+        freq = FREQ.get(arena.k, FrequencyVector.uniform(arena.k))
+        assert one_player_answers(again, freq) == \
+            one_player_answers(arena, freq)
+        for goal in goals_for(arena):
+            assert decide_winner(again, goal).winner == \
+                decide_winner(arena, goal).winner, goal.kind
+    assert folded_total > 100

@@ -6,8 +6,9 @@ perfbench by wrapping library attributes.
 Runs one pass of a perfbench workload against the library under
 ``--src`` (any checkout) and prints one JSON line: LP solves (and how
 many started from a factored basis), phase-1 pivots, factorization
-pivots, solves the rate screen skipped, the final synth-stream deviation
-of every request, and the best of ``--repeats`` in-process pass times.
+pivots, solves the rate screen skipped, Tarjan runs (``graphs._tarjan``),
+the final synth-stream deviation of every request, and the best of
+``--repeats`` in-process pass times.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def main() -> int:
 
     best = min(_timed(one_pass) for _ in range(args.repeats))
     counts = dict.fromkeys(("solves", "warm_solves", "phase1_pivots",
-                            "factor_pivots", "screened"), 0)
+                            "factor_pivots", "screened", "tarjan_runs"), 0)
     graphs, lp = lib.graphs, lib.lp
     state = {"factoring": False}
     solve, pivot = graphs.solve_feasibility, lp._pivot
@@ -61,7 +62,14 @@ def main() -> int:
                else "phase1_pivots"] += 1
         return pivot(*a)
 
+    tarjan = graphs._tarjan
+
+    def counted_tarjan(*a):
+        counts["tarjan_runs"] += 1
+        return tarjan(*a)
+
     graphs.solve_feasibility, lp._pivot = counted_solve, counted_pivot
+    graphs._tarjan = counted_tarjan
     if hasattr(graphs, "factor_rows"):
         factor = graphs.factor_rows
 
