@@ -11,12 +11,11 @@ from .games import (GameResult, MemorylessStrategy, StrategyBudgetError,
                     count_strategies, decide_winner, enumerate_strategies,
                     graph_decide, prune)
 from .graphs import (Circulation, GraphDecision, InternalCheckError,
-                     LimitMatrix, LoopSet, SccResult, build_color_limit_system,
+                     LimitMatrix, LoopSet, build_color_limit_system,
                      decide_balanced_path, decide_bounded_path,
                      decide_frequency_path, decompose_circulation,
-                     eulerian_circuit, frequency_to_limit,
-                     is_zero_diff_cycle, loop_ratio_matches,
-                     strongly_connected_components)
+                     edge_components, eulerian_circuit, frequency_to_limit,
+                     is_zero_diff_cycle, loop_ratio_matches)
 from .lp import (Constraint, FeasibilityResult, LinearSystem, integer_scale,
                  solve_feasibility)
 from .reductions import (CnfFormula, DimacsError, SchedulerPolicy,

@@ -166,7 +166,7 @@ def _cmd_synth(args, started: float) -> int:
     report["witness"] = _witness_dict(decision.witness)
     if goal.kind == "bounded":
         walk = decision.witness
-        access = shortest_path(arena, None, arena.initial, walk.start)
+        access = shortest_path(arena, arena.initial, walk.start)
         path_stream = bounded_witness_stream(walk, access, arena.k)
         report["stream"] = {
             "kind": "periodic",

@@ -18,13 +18,12 @@ circuit is the witness walk.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .arena import (ColoredArena, ContractError, FinitePath, FrequencyVector,
                     color_counts)
@@ -98,13 +97,6 @@ def frequency_to_limit(freq: FrequencyVector) -> LimitMatrix:
 # --- strongly connected components ----------------------------------------
 
 
-@dataclass(frozen=True)
-class SccResult:
-    components: tuple[tuple[str, ...], ...]
-    comp_of: dict[str, int]
-    reachable: tuple[bool, ...]
-
-
 def _tarjan(num_nodes: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
     """Iterative Tarjan; components come out in reverse topological order."""
     index = [-1] * num_nodes
@@ -155,46 +147,46 @@ def _tarjan(num_nodes: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
     return comps
 
 
-def strongly_connected_components(arena: ColoredArena) -> SccResult:
-    n = len(arena.nodes)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for e in arena.edges:
-        succ[arena.node_index[e.src]].append(arena.node_index[e.dst])
-    comps = _tarjan(n, succ)
-    comp_of: dict[str, int] = {}
-    for ci, comp in enumerate(comps):
+def edge_components(arena: ColoredArena,
+                    edge_ids: Iterable[int]) -> list[list[int]]:
+    """Internal edge ids, ascending, of each strongly connected component
+    of the subgraph the given edges span that has an internal edge;
+    groups ordered by the component's smallest node index."""
+    edge_ids = sorted(edge_ids)
+    index = arena.node_index
+    edges = arena.edges
+    succ: list[list[int]] = [[] for _ in arena.nodes]
+    for eid in edge_ids:
+        e = edges[eid]
+        succ[index[e.src]].append(index[e.dst])
+    comp_of = [0] * len(succ)
+    smallest = []
+    for ci, comp in enumerate(_tarjan(len(succ), succ)):
+        smallest.append(min(comp))
         for v in comp:
-            comp_of[arena.nodes[v].id] = ci
-    seen = [False] * n
-    start = arena.node_index[arena.initial]
-    seen[start] = True
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in succ[u]:
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    reachable = tuple(any(seen[v] for v in comp) for comp in comps)
-    components = tuple(
-        tuple(arena.nodes[v].id for v in sorted(comp)) for comp in comps)
-    return SccResult(components, comp_of, reachable)
+            comp_of[v] = ci
+    groups: dict[int, list[int]] = {}
+    for eid in edge_ids:
+        e = edges[eid]
+        ci = comp_of[index[e.src]]
+        if comp_of[index[e.dst]] == ci:
+            groups.setdefault(ci, []).append(eid)
+    return [groups[ci] for ci in sorted(groups, key=smallest.__getitem__)]
 
 
-def _reachable_components(arena: ColoredArena) -> Iterator[list[int]]:
-    """Internal edge ids, ascending, of each reachable strongly connected
-    component that has an edge, ordered by the component's smallest node
-    index."""
-    scc = strongly_connected_components(arena)
-    buckets: list[list[int]] = [[] for _ in scc.components]
-    for eid, e in enumerate(arena.edges):
-        ci = scc.comp_of[e.src]
-        if scc.comp_of[e.dst] == ci:
-            buckets[ci].append(eid)
-    for ci in sorted(range(len(buckets)),
-                     key=lambda i: arena.node_index[scc.components[i][0]]):
-        if scc.reachable[ci] and buckets[ci]:
-            yield buckets[ci]
+def _reachable_edge_ids(arena: ColoredArena) -> list[int]:
+    """Edges whose source is reachable from the initial node, by BFS."""
+    seen = {arena.initial}
+    queue = [arena.initial]
+    out: list[int] = []
+    for u in queue:  # the queue grows while it is read: breadth-first
+        for eid in arena.out_edge_ids(u):
+            out.append(eid)
+            dst = arena.edges[eid].dst
+            if dst not in seen:
+                seen.add(dst)
+                queue.append(dst)
+    return out
 
 
 # --- the load system --------------------------------------------------------
@@ -427,10 +419,11 @@ def decompose_circulation(arena: ColoredArena, circ: Circulation) -> LoopSet:
     deterministic.
     """
     _check_conservation(arena, circ)
-    scc = strongly_connected_components(arena)
-    support_comps = {scc.comp_of[arena.edges[eid].src] for eid in circ.loads}
-    support_comps |= {scc.comp_of[arena.edges[eid].dst] for eid in circ.loads}
-    if len(support_comps) > 1:
+    # conserved flow lies on cycles, so every support edge is internal
+    # to a component of the arena
+    group_of = {eid: gi for gi, group in enumerate(
+        edge_components(arena, range(len(arena.edges)))) for eid in group}
+    if len({group_of[eid] for eid in circ.loads}) > 1:
         raise ContractError("circulation support spans several strongly "
                             "connected components")
     remaining = dict(circ.loads)
@@ -496,33 +489,12 @@ def decompose_circulation(arena: ColoredArena, circ: Circulation) -> LoopSet:
 
 def eulerian_circuit(arena: ColoredArena, circ: Circulation) -> FinitePath:
     """Closed walk traversing each edge exactly as often as its load
-    (Hierholzer's algorithm on the multigraph)."""
-    net: dict[str, int] = {}
-    for eid, v in circ.loads.items():
-        e = arena.edges[eid]
-        net[e.src] = net.get(e.src, 0) - v
-        net[e.dst] = net.get(e.dst, 0) + v
-    if any(d != 0 for d in net.values()):
-        raise ContractError("in-degree and out-degree differ under loads")
-    support_nodes = set(net)
-    # weak connectivity of the support
-    undirected: dict[str, set[str]] = {v: set() for v in support_nodes}
-    for eid in circ.loads:
-        e = arena.edges[eid]
-        undirected[e.src].add(e.dst)
-        undirected[e.dst].add(e.src)
-    first = min(support_nodes, key=lambda v: arena.node_index[v])
-    seen = {first}
-    queue = deque([first])
-    while queue:
-        u = queue.popleft()
-        for w in undirected[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if seen != support_nodes:
-        raise ContractError("circulation support is not connected")
-
+    (Hierholzer's algorithm on the multigraph).  Under conserved flow
+    the walk from the support's first node misses edges exactly when the
+    support is not connected."""
+    _check_conservation(arena, circ)
+    first = min((arena.edges[eid].src for eid in circ.loads),
+                key=arena.node_index.__getitem__)
     remaining = dict(circ.loads)
     out_by: dict[str, list[int]] = {}
     for eid in sorted(circ.loads):
@@ -555,7 +527,7 @@ def eulerian_circuit(arena: ColoredArena, circ: Circulation) -> FinitePath:
             edge_stack.append(eid)
     out.reverse()
     if len(out) != circ.total():
-        raise InternalCheckError("Euler walk misses edges")
+        raise ContractError("circulation support is not connected")
     walk = FinitePath(arena.edges[eid] for eid in out)
     if not walk.is_cycle():
         raise InternalCheckError("Euler walk is not closed")
@@ -685,7 +657,7 @@ def _decide_limit_path(arena: ColoredArena, limit: LimitMatrix,
 def _compute_limit_path(arena: ColoredArena, limit: LimitMatrix) -> GraphDecision:
     if limit.k != arena.k:
         raise ContractError("limit arity does not match arena colors")
-    for edge_ids in _reachable_components(arena):
+    for edge_ids in edge_components(arena, _reachable_edge_ids(arena)):
         problem = _LimitProblem(arena, edge_ids, limit)
         loads = problem.solve()
         if loads is None:
@@ -777,7 +749,7 @@ def _restore_bounded_decision(arena, order, stored):
 
 def _compute_bounded_path(arena: ColoredArena) -> GraphDecision:
     zero = LimitMatrix.zero(arena.k)
-    for edge_ids in _reachable_components(arena):
+    for edge_ids in edge_components(arena, _reachable_edge_ids(arena)):
         walk = _zero_diff_component_walk(arena, edge_ids, zero)
         if walk is not None:
             if not is_zero_diff_cycle(walk, arena.k):
@@ -822,29 +794,6 @@ def _zero_diff_component_walk(arena, edge_ids, zero):
             kept.extend(survivors)
         if not kept:
             return None
-        groups = _edge_groups_by_scc(arena, kept)
+        groups = edge_components(arena, kept)
     raise InternalCheckError("support pruning failed to converge")
 
-
-def _edge_groups_by_scc(arena, edge_ids) -> list[list[int]]:
-    """Internal edges of each strongly connected component of the
-    subgraph spanned by the given edges; groups ordered by smallest edge."""
-    nodes = sorted({n for eid in edge_ids
-                    for n in (arena.edges[eid].src, arena.edges[eid].dst)},
-                   key=lambda v: arena.node_index[v])
-    local = {v: i for i, v in enumerate(nodes)}
-    succ: list[list[int]] = [[] for _ in nodes]
-    for eid in edge_ids:
-        e = arena.edges[eid]
-        succ[local[e.src]].append(local[e.dst])
-    comps = _tarjan(len(nodes), succ)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[nodes[v]] = ci
-    groups: dict[int, list[int]] = {}
-    for eid in sorted(edge_ids):
-        e = arena.edges[eid]
-        if comp_of[e.src] == comp_of[e.dst]:
-            groups.setdefault(comp_of[e.src], []).append(eid)
-    return sorted(groups.values(), key=lambda g: g[0])

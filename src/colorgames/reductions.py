@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .arena import (ColoredArena, ContractError, Edge, Node, RawArena,
-                    desugar_uncolored)
+from .arena import (MAX_CHAIN_NODES, ColoredArena, ContractError, Edge,
+                    Node, RawArena, ValidationError, desugar_uncolored)
 from .games import MemorylessStrategy
 
 
@@ -118,12 +118,27 @@ def cnf_to_raw_arena(formula: CnfFormula) -> RawArena:
     """The validity game arena, before uncolored edges are expanded.
 
     Colors 1..n stand for the clauses and color n+1 is the control color
-    on the closing edge of the big cycle.
+    on the closing edge of the big cycle.  The arena has m(2n+2) nodes
+    and m(2n+3) - 1 uncolored edges, each expanding into n chain nodes;
+    either count above ``MAX_CHAIN_NODES`` is a ``ValidationError``
+    raised before anything is built, since a DIMACS header of a few
+    bytes can name any number of variables.
     """
     n = formula.num_clauses
     m = formula.num_vars
     if m < 1:
         raise ContractError("the construction needs at least one variable")
+    raw_nodes = m * (2 * n + 2)
+    if raw_nodes > MAX_CHAIN_NODES:
+        raise ValidationError(
+            f"the game arena of {m} variables and {n} clauses has "
+            f"{raw_nodes} nodes, more than the limit {MAX_CHAIN_NODES}")
+    fresh_nodes = n * (m * (2 * n + 3) - 1)
+    if fresh_nodes > MAX_CHAIN_NODES:
+        raise ValidationError(
+            f"expanding the game arena of {m} variables and {n} clauses "
+            f"needs {fresh_nodes} chain nodes, more than the limit "
+            f"{MAX_CHAIN_NODES}")
     k = n + 1
     nodes: list[Node] = []
     edges: list[Edge] = []

@@ -22,7 +22,7 @@ from itertools import chain, count, cycle, islice
 from typing import Iterable, Iterator
 
 from .arena import ColoredArena, ContractError, Edge, FinitePath, color_counts
-from .graphs import LimitMatrix, LoopSet, strongly_connected_components
+from .graphs import LimitMatrix, LoopSet
 
 
 @dataclass(frozen=True)
@@ -126,16 +126,14 @@ class PathStream:
 
 
 def build_schedule(loop_set: LoopSet, arena: ColoredArena) -> PathSchedule:
-    """Connect the loops of a loop set with shortest paths inside their
-    strongly connected component."""
+    """Connect the loops of a loop set with shortest paths.
+
+    A shortest path between two nodes of one strongly connected
+    component never leaves it, so connectors are searched over all
+    nodes; loops in different components leave some connector without
+    a path, which is a ``ContractError``."""
     if not loop_set.loops:
         raise ContractError("empty loop set")
-    scc = strongly_connected_components(arena)
-    comps = {scc.comp_of[p.start] for p, _ in loop_set.loops}
-    if len(comps) > 1:
-        raise ContractError("loops are not mutually reachable")
-    ci = comps.pop()
-    members = set(scc.components[ci])
     loops = tuple(p for p, _ in loop_set.loops)
     coeffs = tuple(c for _, c in loop_set.loops)
     h = len(loops)
@@ -143,14 +141,14 @@ def build_schedule(loop_set: LoopSet, arena: ColoredArena) -> PathSchedule:
     for j in range(h):
         src = loops[j].end
         dst = loops[(j + 1) % h].start
-        connectors.append(shortest_path(arena, members, src, dst))
+        connectors.append(shortest_path(arena, src, dst))
     return PathSchedule(loops, coeffs, tuple(connectors))
 
 
-def shortest_path(arena: ColoredArena, members: set[str] | None, src: str,
+def shortest_path(arena: ColoredArena, src: str,
                   dst: str) -> tuple[Edge, ...]:
-    """Breadth-first shortest edge path inside ``members``, or over all
-    nodes when it is None; ties resolved toward the smallest node index."""
+    """Breadth-first shortest edge path; ties resolved toward the
+    smallest node index."""
     if src == dst:
         return ()
     parent: dict[str, Edge] = {}
@@ -161,7 +159,7 @@ def shortest_path(arena: ColoredArena, members: set[str] | None, src: str,
         candidates = []
         for eid in arena.out_edge_ids(u):
             e = arena.edges[eid]
-            if (members is None or e.dst in members) and e.dst not in seen:
+            if e.dst not in seen:
                 candidates.append((arena.node_index[e.dst], eid, e))
         for _, _, e in sorted(candidates):
             if e.dst in seen:
@@ -178,8 +176,7 @@ def shortest_path(arena: ColoredArena, members: set[str] | None, src: str,
                 path.reverse()
                 return tuple(path)
             queue.append(e.dst)
-    raise ContractError(f"no path from {src!r} to {dst!r}"
-                        + ("" if members is None else " inside the component"))
+    raise ContractError(f"no path from {src!r} to {dst!r}")
 
 
 def stream(schedule: PathSchedule) -> PathStream:

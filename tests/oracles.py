@@ -487,6 +487,41 @@ def reference_decide_winner(
     return 0, None, tuple(log)
 
 
+# --- connectors ----------------------------------------------------------------
+
+
+def reference_shortest_path(arena: ColoredArena, members: set[str], src: str,
+                            dst: str) -> tuple[Edge, ...] | None:
+    """Breadth-first shortest edge path that never leaves ``members``,
+    ties resolved toward the smallest node index; None when there is no
+    such path.  The reference for connectors searched over all nodes."""
+    if src == dst:
+        return ()
+    parent: dict[str, Edge] = {}
+    seen = {src}
+    queue = [src]
+    for u in queue:
+        candidates = sorted(
+            (arena.node_index[arena.edges[eid].dst], eid)
+            for eid in arena.out_edge_ids(u)
+            if arena.edges[eid].dst in members)
+        for _, eid in candidates:
+            e = arena.edges[eid]
+            if e.dst in seen:
+                continue
+            seen.add(e.dst)
+            parent[e.dst] = e
+            queue.append(e.dst)
+    if dst not in parent:
+        return None
+    path = []
+    node = dst
+    while node != src:
+        path.append(parent[node])
+        node = parent[node].src
+    return tuple(reversed(path))
+
+
 # --- per-edge streams and convergence -----------------------------------------
 
 

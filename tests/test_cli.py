@@ -97,6 +97,24 @@ def test_analyze_rejects_arena_above_input_limits(tmp_path, capsys, k,
     assert "internal" not in report
 
 
+@pytest.mark.parametrize("header, body", [
+    # 2m raw nodes with no clause; one node above the limit
+    (f"p cnf {MAX_CHAIN_NODES // 2 + 1} 0", ""),
+    # 4m raw nodes, within the limit, but 5m - 1 chain nodes above it
+    (f"p cnf {MAX_CHAIN_NODES // 5 + 1} 1", "1 0")],
+    ids=["nodes", "chain-nodes"])
+def test_gen_cnf_rejects_formula_above_input_limits(tmp_path, capsys,
+                                                    header, body):
+    dimacs = tmp_path / "hostile.cnf"
+    dimacs.write_text(f"{header}\n{body}\n")
+    code = main(["gen", "cnf", "--dimacs", str(dimacs)])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)  # exactly one JSON document
+    assert "limit" in report["error"]
+    assert "internal" not in report
+
+
 def test_solve_matches_analyze_without_player1(two_loops_file, capsys):
     code, report = run_cli(capsys, "solve", "--arena", two_loops_file,
                            "--goal", "balanced")

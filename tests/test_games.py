@@ -151,15 +151,17 @@ def test_monotone_specialization():
 
 def test_pruned_cnf_keeps_one_cycle_skeleton():
     # any branch assignment leaves the v1 .. vm' ring in one component
-    from colorgames import strongly_connected_components
+    from colorgames import edge_components
     formula = CnfFormula(2, (clause((1, True)), clause((2, False))))
     arena = cnf_to_arena(formula)
     ring = [nd.id for nd in arena.nodes
             if nd.id.startswith("v") and "." not in nd.id]
     for strategy in enumerate_strategies(arena):
         pruned = prune(arena, strategy)
-        scc = strongly_connected_components(pruned)
-        assert len({scc.comp_of[v] for v in ring}) == 1
+        group_of = {pruned.edges[eid].src: gi for gi, group in enumerate(
+            edge_components(pruned, range(len(pruned.edges))))
+            for eid in group}
+        assert len({group_of[v] for v in ring}) == 1
 
 
 def test_random_two_player_games_cache_matches_fresh():

@@ -13,11 +13,12 @@ from colorgames import (Circulation, ContractError, FrequencyVector,
                         load_arena,
                         decide_balanced_path, decide_bounded_path,
                         decide_frequency_path, decompose_circulation,
-                        eulerian_circuit, frequency_to_limit,
+                        edge_components, eulerian_circuit, frequency_to_limit,
                         is_zero_diff_cycle, loop_ratio_matches,
-                        solve_feasibility, strongly_connected_components)
+                        solve_feasibility)
 from builders import TWO_LOOPS, build_arena
-from oracles import (component_edge_ids, loop_combination_exists,
+from oracles import (_strong_groups, component_edge_ids,
+                     loop_combination_exists,
                      random_connected_arena,
                      random_pruning_arena, reference_feasibility,
                      reference_surviving_edges, reference_zero_diff_support)
@@ -51,18 +52,40 @@ def test_limit_matrix_invariants_random():
 
 def test_scc_single_node_loop():
     arena = build_arena(1, [("u", 1, "u")])
-    scc = strongly_connected_components(arena)
-    assert len(scc.components) == 1
-    assert scc.reachable == (True,)
+    assert edge_components(arena, [0]) == [[0]]
+    assert graphs._reachable_edge_ids(arena) == [0]
 
 
 def test_scc_chain_with_end_loops():
+    # three components; b has no internal edge, so only a and c form groups
     arena = build_arena(1, [("a", 1, "a"), ("a", 1, "b"), ("b", 1, "c"),
                             ("c", 1, "c")])
-    scc = strongly_connected_components(arena)
-    assert len(scc.components) == 3
-    assert all(scc.reachable)
-    assert scc.comp_of["a"] != scc.comp_of["b"] != scc.comp_of["c"]
+    assert edge_components(arena, range(4)) == [[0], [3]]
+    assert sorted(graphs._reachable_edge_ids(arena)) == [0, 1, 2, 3]
+
+
+def test_edge_components_match_reachability_oracle():
+    # same groups as the reachability oracle, over all edges and over
+    # edge subsets in any order, ordered by smallest node index
+    rng = random.Random(19)
+    reordered = 0
+    for _ in range(400):
+        arena = random_connected_arena(rng, max_nodes=7, max_edges=14)
+
+        def by_node(groups):
+            return sorted(groups, key=lambda g: min(
+                arena.node_index[arena.edges[eid].src] for eid in g))
+        everything = component_edge_ids(arena)
+        assert edge_components(arena, range(len(arena.edges))) \
+            == by_node(everything)
+        subset = [eid for eid in range(len(arena.edges))
+                  if rng.random() < 0.6]
+        rng.shuffle(subset)
+        groups = _strong_groups(arena, subset)
+        assert edge_components(arena, subset) == by_node(groups)
+        reordered += by_node(everything) != everything
+        reordered += by_node(groups) != groups
+    assert reordered >= 10
 
 
 def test_limit_system_two_loops_balanced():
@@ -198,6 +221,18 @@ def test_decompose_rejects_unconserved_flow():
         decompose_circulation(arena, Circulation({0: 2, 1: 1}))
 
 
+def test_decompose_support_must_lie_in_one_component():
+    # two disjoint loops of one component decompose; across components
+    # they are rejected
+    one = build_arena(2, [("u", 1, "u"), ("v", 2, "v"), ("u", 1, "v"),
+                          ("v", 1, "u")])
+    loop_set = decompose_circulation(one, Circulation({0: 1, 1: 1}))
+    assert loop_set.combined_counts(2) == [1, 1]
+    apart = build_arena(2, [("u", 1, "u"), ("u", 1, "v"), ("v", 2, "v")])
+    with pytest.raises(ContractError, match="several"):
+        decompose_circulation(apart, Circulation({0: 1, 2: 1}))
+
+
 def test_euler_triangle():
     arena = build_arena(1, [("a", 1, "b"), ("b", 1, "c"), ("c", 1, "a")])
     walk = eulerian_circuit(arena, Circulation({0: 1, 1: 1, 2: 1}))
@@ -316,18 +351,27 @@ def test_cover_row_pruning_matches_forced_edge_reference(monkeypatch):
         problems[-1][1] += 1
         return solve_feasibility(system)
 
+    inside = []  # set while a component is pruned
+
     def counted_walk(*args, walk=graphs._zero_diff_component_walk):
         rounds.append(1)  # round 1 prunes the component as one group
-        return walk(*args)
+        inside.append(True)
+        try:
+            return walk(*args)
+        finally:
+            inside.pop()
 
-    def counted_groups(*args, groups=graphs._edge_groups_by_scc):
-        rounds[-1] += 1
+    def counted_groups(*args, groups=graphs.edge_components):
+        # the deciders find the top-level components through the same
+        # routine; only regroupings between pruning rounds count
+        if inside:
+            rounds[-1] += 1
         return groups(*args)
 
     monkeypatch.setattr(graphs, "_LimitProblem", CountedProblem)
     monkeypatch.setattr(graphs, "solve_feasibility", counted_solve)
     monkeypatch.setattr(graphs, "_zero_diff_component_walk", counted_walk)
-    monkeypatch.setattr(graphs, "_edge_groups_by_scc", counted_groups)
+    monkeypatch.setattr(graphs, "edge_components", counted_groups)
     rng = random.Random(83)
     exists = multi_round = 0
     for _ in range(150):

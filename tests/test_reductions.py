@@ -5,10 +5,11 @@ import random
 import pytest
 
 from colorgames import (CnfFormula, ContractError, DimacsError, Goal,
-                        cnf_to_arena, cnf_to_raw_arena, color_counts,
-                        decide_winner, enumerate_strategies, load_arena,
-                        parse_dimacs, scheduler_arena,
-                        simulate_scheduler_policy, tautology_bruteforce)
+                        ValidationError, cnf_to_arena, cnf_to_raw_arena,
+                        color_counts, decide_winner, enumerate_strategies,
+                        load_arena, parse_dimacs, reductions,
+                        scheduler_arena, simulate_scheduler_policy,
+                        tautology_bruteforce)
 
 
 def clause(*lits):
@@ -87,6 +88,31 @@ def test_cnf_arena_desugared_counts():
         [e.color for e in raw.edges if e.color is not None], k)
     full = color_counts([e.color for e in arena.edges], k)
     assert full == [c + uncolored for c in raw_colored]
+
+
+@pytest.mark.parametrize("m, n", [(1, 0), (1, 1), (2, 3), (3, 2)])
+def test_cnf_size_formulas_match_the_construction(m, n):
+    # the sizes the input limits are checked against before building
+    formula = CnfFormula(m, tuple(clause((1, True)) for _ in range(n)))
+    raw = cnf_to_raw_arena(formula)
+    uncolored = sum(1 for e in raw.edges if e.color is None)
+    assert len(raw.nodes) == m * (2 * n + 2)
+    assert uncolored == m * (2 * n + 3) - 1
+    arena = cnf_to_arena(formula)
+    assert len(arena.nodes) - len(raw.nodes) == n * (m * (2 * n + 3) - 1)
+
+
+def test_cnf_limits_are_inclusive(monkeypatch):
+    # m = 2, n = 1: 8 raw nodes, 9 chain nodes
+    formula = CnfFormula(2, (clause((1, True)),))
+    monkeypatch.setattr(reductions, "MAX_CHAIN_NODES", 9)
+    cnf_to_raw_arena(formula)
+    monkeypatch.setattr(reductions, "MAX_CHAIN_NODES", 8)
+    with pytest.raises(ValidationError, match="9 chain nodes"):
+        cnf_to_raw_arena(formula)
+    monkeypatch.setattr(reductions, "MAX_CHAIN_NODES", 7)
+    with pytest.raises(ValidationError, match="8 nodes"):
+        cnf_to_raw_arena(formula)
 
 
 def test_cnf_arena_player_partition():

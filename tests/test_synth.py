@@ -12,12 +12,14 @@ from colorgames import (ContractError, Edge, FinitePath, FrequencyVector,
                         bounded_witness_stream, build_schedule,
                         convergence_profile, decide_balanced_path,
                         decide_bounded_path, decide_frequency_path,
-                        diff_matrix, frequency_to_limit, measure_convergence,
-                        stream, strongly_connected_components)
+                        diff_matrix, edge_components, frequency_to_limit,
+                        measure_convergence, stream)
+from colorgames.synth import shortest_path
 from builders import TWO_LOOPS, build_arena
 from oracles import (enumerate_simple_cycles, growing_block_word,
                      random_connected_arena, reference_bounded_stream,
-                     reference_profile, reference_stream)
+                     reference_profile, reference_shortest_path,
+                     reference_stream)
 
 
 def two_loop_schedule(freq=None):
@@ -62,6 +64,23 @@ def test_schedule_rejects_disconnected_loops():
                      (FinitePath([arena.edges[2]]), 1)))
     with pytest.raises(ContractError):
         build_schedule(loops, arena)
+
+
+def test_connectors_match_component_bounded_search():
+    # a shortest path between two nodes of one component never leaves
+    # it, so the search over all nodes finds the component search's path
+    rng = random.Random(47)
+    pairs = 0
+    for _ in range(1500):
+        arena = random_connected_arena(rng, max_nodes=7, max_edges=14)
+        for group in edge_components(arena, range(len(arena.edges))):
+            members = {arena.edges[eid].src for eid in group}
+            for u in members:
+                for v in members:
+                    assert shortest_path(arena, u, v) \
+                        == reference_shortest_path(arena, members, u, v)
+                    pairs += 1
+    assert pairs >= 10_000
 
 
 def test_stream_first_edges():
@@ -213,12 +232,14 @@ def seeded_schedules(seed: int, count: int):
     out = []
     while len(out) < count:
         arena = random_connected_arena(rng, max_nodes=5, max_edges=9)
-        scc = strongly_connected_components(arena)
+        group_of = {eid: gi for gi, group in enumerate(
+            edge_components(arena, range(len(arena.edges))))
+            for eid in group}
         groups: dict[int, list[FinitePath]] = {}
         for ids in enumerate_simple_cycles(arena):
             r = rng.randrange(len(ids))
             loop = FinitePath(arena.edges[i] for i in ids[r:] + ids[:r])
-            groups.setdefault(scc.comp_of[loop.start], []).append(loop)
+            groups.setdefault(group_of[ids[0]], []).append(loop)
         if not groups:
             continue
         loops = rng.choice(list(groups.values()))
