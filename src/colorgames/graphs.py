@@ -771,7 +771,7 @@ def _zero_diff_component_walk(arena, edge_ids, zero):
     group is loaded, the sum of the round's solutions is a full-support
     zero-difference circulation and its Eulerian circuit is the walk.
     The component's edges are strongly connected, so round 1 has one
-    group; later rounds split the survivors into their components.
+    group; later rounds take the survivors' components smallest edge first.
     """
     groups = [edge_ids]
     for _ in range(len(edge_ids) + 1):
@@ -794,6 +794,6 @@ def _zero_diff_component_walk(arena, edge_ids, zero):
             kept.extend(survivors)
         if not kept:
             return None
-        groups = edge_components(arena, kept)
+        groups = sorted(edge_components(arena, kept), key=itemgetter(0))
     raise InternalCheckError("support pruning failed to converge")
 

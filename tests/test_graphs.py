@@ -372,10 +372,16 @@ def test_cover_row_pruning_matches_forced_edge_reference(monkeypatch):
     monkeypatch.setattr(graphs, "solve_feasibility", counted_solve)
     monkeypatch.setattr(graphs, "_zero_diff_component_walk", counted_walk)
     monkeypatch.setattr(graphs, "edge_components", counted_groups)
+    # round 1 loads neither a->c nor d->b, and the survivors split into
+    # {c->d, d->c} and {b->a, a->b}; both support themselves, and the
+    # walk follows the group with the smallest edge id, although the
+    # other one holds the smallest node
+    fixed = build_arena(2, [("a", 1, "c"), ("c", 1, "d"), ("d", 2, "c"),
+                            ("d", 1, "b"), ("b", 1, "a"), ("a", 2, "b")])
     rng = random.Random(83)
+    arenas = [fixed] + [random_pruning_arena(rng) for _ in range(150)]
     exists = multi_round = 0
-    for _ in range(150):
-        arena = random_pruning_arena(rng)
+    for arena in arenas:
         problems.clear()
         rounds.clear()
         decision = decide_bounded_path(arena)
