@@ -47,6 +47,11 @@ class Node:
     id: str
     owner: int  # 0 or 1
 
+    # slot descriptors: half the cost of the generated frozen __init__
+    def __init__(self, id: str, owner: int):
+        _SET_ID(self, id)
+        _SET_OWNER(self, owner)
+
 
 @dataclass(frozen=True, slots=True)
 class Edge:
@@ -56,27 +61,42 @@ class Edge:
     color: int | None
     dst: str
 
+    def __init__(self, src: str, color: int | None, dst: str):
+        _SET_SRC(self, src)
+        _SET_COLOR(self, color)
+        _SET_DST(self, dst)
+
     def triple(self) -> list:
         return [self.src, self.color, self.dst]
 
 
+_SET_ID, _SET_OWNER = Node.id.__set__, Node.owner.__set__
+_SET_SRC, _SET_COLOR, _SET_DST = (Edge.src.__set__, Edge.color.__set__,
+                                  Edge.dst.__set__)
+
+
 class _ArenaBase:
-    """Shared structure and index tables for raw and colored arenas."""
+    """Structure and index tables, built at construction, of raw and
+    colored arenas: ``node_index`` maps ids to positions in ``nodes``,
+    ``out_ids[i]`` lists node i's outgoing edge ids in ascending order,
+    ``edge_dst``/``edge_color`` give each edge's target index and color."""
 
     def __init__(self, k: int, nodes: Sequence[Node], initial: str,
-                 edges: Sequence[Edge]):
+                 edges: Sequence[Edge], node_index: dict | None = None):
         self.k = k
         self.nodes = tuple(nodes)
         self.initial = initial
         self.edges = tuple(edges)
-        self.node_index: dict[str, int] = {}
-        for i, nd in enumerate(self.nodes):
-            self.node_index[nd.id] = i
-        self._out: list[list[int]] = [[] for _ in self.nodes]
+        if node_index is None:
+            node_index = {nd.id: i for i, nd in enumerate(self.nodes)}
+        self.node_index = node_index
+        self.out_ids: list[list[int]] = [[] for _ in self.nodes]
         for eid, e in enumerate(self.edges):
-            si = self.node_index.get(e.src)
-            if si is not None:
-                self._out[si].append(eid)
+            si = node_index.get(e.src)
+            if si is not None:  # unknown ids are left to validation
+                self.out_ids[si].append(eid)
+        self.edge_dst = [node_index.get(e.dst) for e in self.edges]
+        self.edge_color = [e.color for e in self.edges]
 
     # --- queries -------------------------------------------------------
 
@@ -84,7 +104,7 @@ class _ArenaBase:
         return self.nodes[self.node_index[node_id]].owner
 
     def out_edge_ids(self, node_id: str) -> list[int]:
-        return self._out[self.node_index[node_id]]
+        return self.out_ids[self.node_index[node_id]]
 
     def player_nodes(self, owner: int) -> list[Node]:
         return [nd for nd in self.nodes if nd.owner == owner]
@@ -97,39 +117,6 @@ class _ArenaBase:
     def __hash__(self):  # structural identity is what matters for tests
         return hash((self.k, self.nodes, self.initial, self.edges))
 
-    # --- validation ----------------------------------------------------
-
-    def _validate(self, allow_uncolored: bool) -> None:
-        if self.k < 1:
-            raise ValidationError(f"color count k must be >= 1, got {self.k}")
-        if self.k > MAX_COLORS:
-            raise ValidationError(
-                f"color count k = {self.k} exceeds the limit {MAX_COLORS}")
-        seen: set[str] = set()
-        for nd in self.nodes:
-            if nd.id in seen:
-                raise ValidationError(f"duplicate node id {nd.id!r}")
-            seen.add(nd.id)
-            if nd.owner not in (0, 1):
-                raise ValidationError(
-                    f"node {nd.id!r} has owner {nd.owner!r}, expected 0 or 1")
-        if self.initial not in seen:
-            raise ValidationError(f"initial node {self.initial!r} does not exist")
-        for eid, e in enumerate(self.edges):
-            if e.src not in seen:
-                raise ValidationError(f"edge {eid} has unknown source {e.src!r}")
-            if e.dst not in seen:
-                raise ValidationError(f"edge {eid} has unknown target {e.dst!r}")
-            if e.color is None:
-                if not allow_uncolored:
-                    raise ValidationError(f"edge {eid} is uncolored")
-            elif not 1 <= e.color <= self.k:
-                raise ValidationError(
-                    f"edge {eid} has color {e.color}, outside 1..{self.k}")
-        for i, nd in enumerate(self.nodes):
-            if not self._out[i]:
-                raise ValidationError(f"node {nd.id!r} has no outgoing edge")
-
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
@@ -140,7 +127,43 @@ class _ArenaBase:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
+        return json.dumps(self.to_json_dict(), sort_keys=True)
+
+
+def _checked_index(k, nodes, initial, edges,
+                   allow_uncolored: bool) -> dict[str, int]:
+    """Check an arena's invariants in a fixed order; return its index."""
+    if k < 1:
+        raise ValidationError(f"color count k must be >= 1, got {k}")
+    if k > MAX_COLORS:
+        raise ValidationError(
+            f"color count k = {k} exceeds the limit {MAX_COLORS}")
+    index: dict[str, int] = {}
+    for i, nd in enumerate(nodes):
+        if nd.id in index:
+            raise ValidationError(f"duplicate node id {nd.id!r}")
+        index[nd.id] = i
+        if nd.owner not in (0, 1):
+            raise ValidationError(
+                f"node {nd.id!r} has owner {nd.owner!r}, expected 0 or 1")
+    if initial not in index:
+        raise ValidationError(f"initial node {initial!r} does not exist")
+    for eid, e in enumerate(edges):
+        if e.src not in index:
+            raise ValidationError(f"edge {eid} has unknown source {e.src!r}")
+        if e.dst not in index:
+            raise ValidationError(f"edge {eid} has unknown target {e.dst!r}")
+        if e.color is None:
+            if not allow_uncolored:
+                raise ValidationError(f"edge {eid} is uncolored")
+        elif not 1 <= e.color <= k:
+            raise ValidationError(
+                f"edge {eid} has color {e.color}, outside 1..{k}")
+    sources = {e.src for e in edges}
+    for nd in nodes:
+        if nd.id not in sources:
+            raise ValidationError(f"node {nd.id!r} has no outgoing edge")
+    return index
 
 
 class RawArena(_ArenaBase):
@@ -148,7 +171,7 @@ class RawArena(_ArenaBase):
 
     def __init__(self, k, nodes, initial, edges):
         super().__init__(k, nodes, initial, edges)
-        self._validate(allow_uncolored=True)
+        _checked_index(k, self.nodes, initial, self.edges, True)
 
     def desugar(self) -> "ColoredArena":
         return desugar_uncolored(self)
@@ -159,13 +182,13 @@ class ColoredArena(_ArenaBase):
 
     def __init__(self, k, nodes, initial, edges):
         super().__init__(k, nodes, initial, edges)
-        self._validate(allow_uncolored=False)
+        _checked_index(k, self.nodes, initial, self.edges, False)
 
     @classmethod
     def derived(cls, k, nodes, initial, edges) -> "ColoredArena":
         """An arena built from a validated one by a construction that keeps
-        every invariant (pruning to a reachable part, expanding uncolored
-        edges into chains), so it is not validated again."""
+        every invariant (such as pruning to a reachable part), so it is
+        not validated again."""
         arena = cls.__new__(cls)
         _ArenaBase.__init__(arena, k, nodes, initial, edges)
         return arena
@@ -182,70 +205,82 @@ def desugar_uncolored(raw: RawArena) -> ColoredArena:
     (fresh ids are unique, each chain node has its one outgoing edge,
     chain colors lie in 1..k), so the result is not validated again.
     """
-    k = raw.k
-    fresh_nodes = (k - 1) * sum(1 for e in raw.edges if e.color is None)
+    return _expand(raw.k, raw.nodes, raw.initial, raw.edges,
+                   dict(raw.node_index))
+
+
+def _expand(k, nodes, initial, edges, index: dict) -> ColoredArena:
+    """``desugar_uncolored`` on validated fields and their node index."""
+    fresh_nodes = (k - 1) * sum(e.color is None for e in edges)
     if fresh_nodes > MAX_CHAIN_NODES:
         raise ValidationError(
             f"expanding the uncolored edges needs {fresh_nodes} chain nodes, "
             f"more than the limit {MAX_CHAIN_NODES}")
-    used = {nd.id for nd in raw.nodes}
-    nodes = list(raw.nodes)
-    edges: list[Edge] = []
-    for eid, e in enumerate(raw.edges):
+    nodes = list(nodes)
+    colored: list[Edge] = []
+    for eid, e in enumerate(edges):
         if e.color is not None:
-            edges.append(e)
+            colored.append(e)
             continue
         prev = e.src
         for step in range(1, k):
             fresh = f"@{eid}.{step}"
-            while fresh in used:
+            while fresh in index:
                 fresh = "_" + fresh
-            used.add(fresh)
+            index[fresh] = len(nodes)
             nodes.append(Node(fresh, 0))
-            edges.append(Edge(prev, step, fresh))
+            colored.append(Edge(prev, step, fresh))
             prev = fresh
-        edges.append(Edge(prev, k, e.dst))
-    return ColoredArena.derived(k, nodes, raw.initial, edges)
+        colored.append(Edge(prev, k, e.dst))
+    arena = ColoredArena.__new__(ColoredArena)
+    _ArenaBase.__init__(arena, k, nodes, initial, colored, index)
+    return arena
 
 
-def _arena_dict_from_text(text: str) -> dict:
+def _parsed_fields(text: str) -> tuple:
+    """k, nodes, initial node and edges as the text gives them.  Only
+    JSON integers, not booleans, are read as k, owners and colors."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or an over-long integer
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("arena file must contain a JSON object")
-    return data
-
-
-def raw_arena_from_dict(data: dict) -> RawArena:
     for field in ("k", "nodes", "initial", "edges"):
         if field not in data:
             raise ParseError(f"missing field {field!r}")
     try:
-        k = int(data["k"])
-        nodes = [Node(str(n["id"]), int(n["owner"])) for n in data["nodes"]]
+        k = _integer(data["k"], "k")
+        nodes = [Node(str(n["id"]), _integer(n["owner"], "owner"))
+                 for n in data["nodes"]]
         initial = str(data["initial"])
         edges = [
             Edge(str(e["src"]),
-                 None if e["color"] is None else int(e["color"]),
+                 None if e["color"] is None else _integer(e["color"], "color"),
                  str(e["dst"]))
             for e in data["edges"]
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed arena object: {exc}") from exc
-    return RawArena(k, nodes, initial, edges)
+    return k, nodes, initial, edges
+
+
+def _integer(value, field: str) -> int:
+    if type(value) is not int:  # bool is an int subclass, so not accepted
+        raise ParseError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 def load_raw_arena(text: str) -> RawArena:
     """Parse and validate an arena file without expanding uncolored
     edges."""
-    return raw_arena_from_dict(_arena_dict_from_text(text))
+    return RawArena(*_parsed_fields(text))
 
 
 def load_arena(text: str) -> ColoredArena:
-    """Parse, validate and desugar an arena file."""
-    return load_raw_arena(text).desugar()
+    """Parse, validate once and desugar an arena file, in one pass."""
+    fields = _parsed_fields(text)
+    return _expand(*fields, _checked_index(*fields, allow_uncolored=True))
 
 
 def serialize_arena(arena: ColoredArena) -> str:

@@ -573,32 +573,35 @@ def reachable_canonical_form(arena: ColoredArena,
     the same edges by their ids in ``arena``: pruning keeps edges in
     parent order, so every tie-break by edge index agrees.
     """
-    edges = arena.edges
-    label: dict[str, int] = {arena.initial: 0}
-    queue = [arena.initial]
+    nodes, out_ids = arena.nodes, arena.out_ids
+    dst_of, color_of = arena.edge_dst, arena.edge_color
+    queue = [arena.node_index[arena.initial]]
+    label = [-1] * len(nodes)
+    label[queue[0]] = 0
     rows: list[tuple[int, int, int, int]] = []
     for u in queue:  # the queue grows while it is read: breadth-first
         src = label[u]
-        eid = choice.get(u) if choice else None
+        eid = choice.get(nodes[u].id) if choice else None
         if eid is None:
-            outs = arena.out_edge_ids(u)
+            outs = out_ids[u]
             if len(outs) > 1:  # stable: color, then edge index
-                outs = sorted(outs, key=lambda i: edges[i].color)
-        elif edges[eid].src != u:
-            raise ContractError(f"choice maps {u!r} to a foreign edge")
+                outs = sorted(outs, key=color_of.__getitem__)
+        elif arena.edges[eid].src != nodes[u].id:
+            raise ContractError(
+                f"choice maps {nodes[u].id!r} to a foreign edge")
         else:
             outs = (eid,)
         for i in outs:
-            e = edges[i]
-            dst = label.get(e.dst)
-            if dst is None:
-                dst = label[e.dst] = len(label)
-                queue.append(e.dst)
-            rows.append((src, e.color, dst, i))
+            v = dst_of[i]
+            dst = label[v]
+            if dst < 0:
+                dst = label[v] = len(queue)
+                queue.append(v)
+            rows.append((src, color_of[i], dst, i))
     # BFS order is not yet canonical: same-color edges of one node sort
     # by their targets' final labels
     rows.sort()
-    key = (arena.k, len(label), tuple(map(_TRIPLE, rows)))
+    key = (arena.k, len(queue), tuple(map(_TRIPLE, rows)))
     return key, list(map(_EDGE_ID, rows))
 
 

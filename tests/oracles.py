@@ -12,17 +12,20 @@ the one-player cache) to pin the parent-arena loop that replaced it.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import Iterable, Iterator
 
-from colorgames import (CnfFormula, ColoredArena, Edge, FeasibilityResult,
-                        FinitePath, FrequencyVector, Goal, LimitMatrix,
-                        LinearSystem, MemorylessStrategy, Node, PathSchedule,
-                        RawArena, build_color_limit_system,
-                        enumerate_strategies, graph_decide, prune)
+from colorgames import (CnfFormula, ColoredArena, ContractError, Edge,
+                        FeasibilityResult, FinitePath, FrequencyVector, Goal,
+                        LimitMatrix, LinearSystem, MemorylessStrategy, Node,
+                        ParseError, PathSchedule, RawArena, ValidationError,
+                        build_color_limit_system, enumerate_strategies,
+                        graph_decide, prune)
+from colorgames.arena import MAX_CHAIN_NODES, MAX_COLORS
 
 
 # --- Fourier-Motzkin feasibility ------------------------------------------
@@ -468,6 +471,145 @@ def reference_zero_diff_support(arena: ColoredArena
                 new_current.extend(survivors)
             current = sorted(new_current)
     return False, frozenset()
+
+
+# --- arena loading and canonical forms ---------------------------------------
+
+
+def reference_load_arena(text: str) -> dict:
+    """The two-step loader one-pass loading replaced: parse into a raw
+    arena, validate it in full, then expand each uncolored edge against
+    a set of used ids.  It keeps the checks' order and messages; its
+    only change is the rule that k, owners and colors are JSON integers.
+    Returns the expanded fields and their index tables, built naively."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError("arena file must contain a JSON object")
+    for field in ("k", "nodes", "initial", "edges"):
+        if field not in data:
+            raise ParseError(f"missing field {field!r}")
+
+    def integer(value, field):
+        if type(value) is not int:
+            raise ParseError(f"{field} must be an integer, got {value!r}")
+        return value
+    try:
+        k = integer(data["k"], "k")
+        nodes = [Node(str(n["id"]), integer(n["owner"], "owner"))
+                 for n in data["nodes"]]
+        initial = str(data["initial"])
+        edges = [Edge(str(e["src"]),
+                      None if e["color"] is None
+                      else integer(e["color"], "color"),
+                      str(e["dst"]))
+                 for e in data["edges"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed arena object: {exc}") from exc
+    _reference_validate(k, nodes, initial, edges)
+    fresh_nodes = (k - 1) * sum(1 for e in edges if e.color is None)
+    if fresh_nodes > MAX_CHAIN_NODES:
+        raise ValidationError(
+            f"expanding the uncolored edges needs {fresh_nodes} chain nodes, "
+            f"more than the limit {MAX_CHAIN_NODES}")
+    used = {nd.id for nd in nodes}
+    expanded: list[Edge] = []
+    for eid, e in enumerate(edges):
+        if e.color is not None:
+            expanded.append(e)
+            continue
+        prev = e.src
+        for step in range(1, k):
+            fresh = f"@{eid}.{step}"
+            while fresh in used:
+                fresh = "_" + fresh
+            used.add(fresh)
+            nodes.append(Node(fresh, 0))
+            expanded.append(Edge(prev, step, fresh))
+            prev = fresh
+        expanded.append(Edge(prev, k, e.dst))
+    return {"k": k, "nodes": tuple(nodes), "initial": initial,
+            "edges": tuple(expanded),
+            **reference_tables(nodes, expanded)}
+
+
+def _reference_validate(k, nodes, initial, edges) -> None:
+    if k < 1:
+        raise ValidationError(f"color count k must be >= 1, got {k}")
+    if k > MAX_COLORS:
+        raise ValidationError(
+            f"color count k = {k} exceeds the limit {MAX_COLORS}")
+    seen: set[str] = set()
+    for nd in nodes:
+        if nd.id in seen:
+            raise ValidationError(f"duplicate node id {nd.id!r}")
+        seen.add(nd.id)
+        if nd.owner not in (0, 1):
+            raise ValidationError(
+                f"node {nd.id!r} has owner {nd.owner!r}, expected 0 or 1")
+    if initial not in seen:
+        raise ValidationError(f"initial node {initial!r} does not exist")
+    for eid, e in enumerate(edges):
+        if e.src not in seen:
+            raise ValidationError(f"edge {eid} has unknown source {e.src!r}")
+        if e.dst not in seen:
+            raise ValidationError(f"edge {eid} has unknown target {e.dst!r}")
+        if e.color is not None and not 1 <= e.color <= k:
+            raise ValidationError(
+                f"edge {eid} has color {e.color}, outside 1..{k}")
+    for nd in nodes:
+        if not any(e.src == nd.id for e in edges):
+            raise ValidationError(f"node {nd.id!r} has no outgoing edge")
+
+
+def reference_tables(nodes, edges) -> dict:
+    """An arena's index tables, each computed on its own."""
+    index = {nd.id: i for i, nd in enumerate(nodes)}
+    return {"node_index": index,
+            "out_ids": [[eid for eid, e in enumerate(edges) if e.src == nd.id]
+                        for nd in nodes],
+            "edge_dst": [index[e.dst] for e in edges],
+            "edge_color": [e.color for e in edges]}
+
+
+def arena_fields(arena) -> dict:
+    """What ``reference_load_arena`` returns, read off an arena."""
+    return {name: getattr(arena, name)
+            for name in ("k", "nodes", "initial", "edges", "node_index",
+                         "out_ids", "edge_dst", "edge_color")}
+
+
+def reference_canonical_form(arena: ColoredArena,
+                             choice: dict[str, int] | None = None):
+    """The canonical BFS by node ids that the index-table form replaced:
+    labels in a dict by id, adjacency through ``out_edge_ids``."""
+    edges = arena.edges
+    label: dict[str, int] = {arena.initial: 0}
+    queue = [arena.initial]
+    rows: list[tuple[int, int, int, int]] = []
+    for u in queue:
+        src = label[u]
+        eid = choice.get(u) if choice else None
+        if eid is None:
+            outs = arena.out_edge_ids(u)
+            if len(outs) > 1:
+                outs = sorted(outs, key=lambda i: edges[i].color)
+        elif edges[eid].src != u:
+            raise ContractError(f"choice maps {u!r} to a foreign edge")
+        else:
+            outs = (eid,)
+        for i in outs:
+            e = edges[i]
+            dst = label.get(e.dst)
+            if dst is None:
+                dst = label[e.dst] = len(label)
+                queue.append(e.dst)
+            rows.append((src, e.color, dst, i))
+    rows.sort()
+    key = (arena.k, len(label), tuple(row[:3] for row in rows))
+    return key, [row[3] for row in rows]
 
 
 # --- the game loop ------------------------------------------------------------

@@ -1,20 +1,23 @@
 """Arena model: loading, validation, desugaring, diff statistics."""
 
 import json
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 
 from colorgames import arena as arena_module
-from colorgames import (ContractError, DiffMatrix, Edge, FinitePath,
-                        FrequencyVector, Goal, Node, RawArena,
-                        ValidationError, color_counts, desugar_uncolored,
-                        diff_matrix, load_arena, prefix_frequencies,
-                        serialize_arena)
+from colorgames import (ArenaError, ColoredArena, ContractError, DiffMatrix,
+                        Edge, FinitePath, FrequencyVector, Goal, Node,
+                        ParseError, RawArena, ValidationError, color_counts,
+                        desugar_uncolored, diff_matrix, load_arena,
+                        load_raw_arena, prefix_frequencies, serialize_arena)
 from builders import TWO_LOOPS, build_arena
 from colorgames.arena import MAX_CHAIN_NODES, MAX_COLORS
-from oracles import growing_block, growing_block_word
+from oracles import (arena_fields, growing_block, growing_block_word,
+                     random_raw_arena, reference_load_arena, reference_tables)
 
 
 def arena_text(k, nodes, initial, edges):
@@ -76,19 +79,162 @@ def test_load_rejects_k_above_limit():
     assert arena.k == MAX_COLORS
 
 
+def _forbid_chain_nodes(monkeypatch):
+    """Make the node constructor the expansion calls fail on a chain
+    node; raw nodes are still made."""
+    make_node = arena_module.Node
+
+    def node(id, owner):
+        if id.startswith("@"):
+            raise AssertionError("a chain node was made")
+        return make_node(id, owner)
+
+    monkeypatch.setattr(arena_module, "Node", node)
+
+
 def test_desugar_rejects_expansion_above_limit(monkeypatch):
     # (k - 1) * uncolored just above the limit is refused before any
-    # chain node is made
+    # chain node is made; at the limit, expansion starts and trips the
+    # guard, which shows that the guard sees what expansion calls
     k = 12
-    uncolored = MAX_CHAIN_NODES // (k - 1) + 1
-    raw = RawArena(k, [Node("a", 0)], "a", [Edge("a", None, "a")] * uncolored)
-
-    def no_chain_node(*args):
-        raise AssertionError("a chain node was made")
-
-    monkeypatch.setattr(arena_module, "Node", no_chain_node)
+    at_limit = MAX_CHAIN_NODES // (k - 1)
+    within, above = (RawArena(k, [Node("a", 0)], "a",
+                              [Edge("a", None, "a")] * uncolored)
+                     for uncolored in (at_limit, at_limit + 1))
+    _forbid_chain_nodes(monkeypatch)
+    with pytest.raises(AssertionError, match="chain node was made"):
+        desugar_uncolored(within)
     with pytest.raises(ValidationError, match="chain nodes"):
-        desugar_uncolored(raw)
+        desugar_uncolored(above)
+
+
+def test_load_arena_rejects_expansion_above_limit(monkeypatch):
+    # 255 * 393 = 100,215 chain nodes; 255 * 392 = 99,960 are allowed
+    def text(uncolored):
+        return arena_text(MAX_COLORS, [("a", 0)], "a",
+                          [("a", None, "a")] * uncolored)
+    _forbid_chain_nodes(monkeypatch)
+    with pytest.raises(AssertionError, match="chain node was made"):
+        load_arena(text(392))
+    with pytest.raises(ValidationError, match="100215 chain nodes"):
+        load_arena(text(393))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", 2.7), ("k", "2"), ("k", True), ("owner", True), ("owner", 1.0),
+    ("color", 1.9), ("color", "1"), ("color", False)])
+def test_load_rejects_non_integer_fields(field, value):
+    # int() once read these as k = 2, owner 1, color 1 and so on
+    data = json.loads(arena_text(2, [("a", 0), ("b", 1)], "a",
+                                 [("a", 1, "b"), ("b", 2, "a")]))
+    if field == "k":
+        data["k"] = value
+    elif field == "owner":
+        data["nodes"][1]["owner"] = value
+    else:
+        data["edges"][0]["color"] = value
+    for load in (load_arena, load_raw_arena):
+        with pytest.raises(ParseError, match=f"{field} must be an integer"):
+            load(json.dumps(data))
+
+
+def test_load_rejects_over_long_integer_as_json_error():
+    text = ('{"k": ' + "1" * 5000
+            + ', "nodes": [], "initial": "a", "edges": []}')
+    with pytest.raises(ParseError, match="invalid JSON"):
+        load_arena(text)
+
+
+def test_load_arena_matches_two_step_reference():
+    rng = random.Random(53)
+    collisions = single_color = 0
+    for _ in range(300):
+        text = random_raw_arena(rng).to_json()
+        fields = reference_load_arena(text)
+        assert arena_fields(load_arena(text)) == fields
+        raw = load_raw_arena(text)
+        assert arena_fields(raw) == {
+            **arena_fields(raw), **reference_tables(raw.nodes, raw.edges)}
+        assert arena_fields(desugar_uncolored(raw)) == fields
+        direct = ColoredArena(*(fields[f] for f in ("k", "nodes", "initial",
+                                                     "edges")))
+        assert arena_fields(direct) == fields
+        collisions += any(nd.id.startswith("_@") for nd in fields["nodes"])
+        single_color += fields["k"] == 1
+    assert collisions > 0 and single_color > 0
+
+
+def _broken_texts(rng):
+    """One text per error kind, each made from a seeded valid arena."""
+    base = random_raw_arena(rng).to_json_dict()
+    node = rng.randrange(len(base["nodes"]))
+    edge = rng.randrange(len(base["edges"]))
+    node_id = base["nodes"][node]["id"]
+
+    def variant(change):
+        data = json.loads(json.dumps(base))
+        change(data)
+        return json.dumps(data)
+
+    yield json.dumps(base)[:-1]
+    yield json.dumps([base])
+    yield variant(lambda d: d.pop(rng.choice(("k", "nodes", "initial",
+                                              "edges"))))
+    yield variant(lambda d: d["nodes"][node].pop("owner"))
+    yield variant(lambda d: d.update(edges=7))
+    yield variant(lambda d: d.update(k=rng.choice((2.5, "2", True, None))))
+    yield variant(lambda d: d["nodes"][node].update(owner=rng.choice(
+        (1.0, "0", False))))
+    yield variant(lambda d: d["edges"][edge].update(color=rng.choice(
+        (1.5, "1", True))))
+    yield variant(lambda d: d.update(k=rng.choice((0, -3))))
+    yield variant(lambda d: d.update(k=MAX_COLORS + 1))
+    yield variant(lambda d: d["nodes"].append(dict(d["nodes"][node])))
+    yield variant(lambda d: d["nodes"][node].update(owner=2))
+    yield variant(lambda d: d.update(initial="nowhere"))
+    yield variant(lambda d: d["edges"][edge].update(src="nowhere"))
+    yield variant(lambda d: d["edges"][edge].update(dst="nowhere"))
+    yield variant(lambda d: d["edges"][edge].update(color=d["k"] + 1))
+    yield variant(lambda d: d["nodes"].append({"id": "isolated",
+                                               "owner": 0}))
+    yield variant(lambda d: d.update(k=MAX_COLORS, edges=d["edges"] + [
+        {"src": node_id, "color": None, "dst": node_id}] * 393))
+
+
+def _failure(load, text):
+    try:
+        load(text)
+    except ArenaError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_load_arena_errors_match_two_step_reference():
+    rng = random.Random(59)
+    for _ in range(40):
+        for text in _broken_texts(rng):
+            failure = _failure(reference_load_arena, text)
+            assert failure is not None
+            assert _failure(load_arena, text) == failure
+            if "chain nodes" not in failure[1]:
+                assert _failure(load_raw_arena, text) == failure
+
+
+def test_node_and_edge_stay_frozen_records():
+    edge, node = Edge("a", 1, "b"), Node("a", 0)
+    for record, field in ((edge, "color"), (node, "owner")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, field, 2)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, field)
+    assert not hasattr(edge, "__dict__")  # fields are slots
+    assert edge == Edge(src="a", color=1, dst="b") != Edge("a", 2, "b")
+    assert edge != ("a", 1, "b") and ("a", 1, "b") != edge
+    assert node != Node("a", 1) and node != ("a", 0)
+    assert hash(edge) == hash(("a", 1, "b")) and hash(node) == hash(("a", 0))
+    assert repr(edge) == "Edge(src='a', color=1, dst='b')"
+    assert repr(node) == "Node(id='a', owner=0)"
+    assert pickle.loads(pickle.dumps(edge)) == edge
 
 
 def test_load_rejects_duplicate_ids_and_bad_initial():
@@ -151,7 +297,7 @@ def test_desugared_arenas_pass_full_validation():
     for _ in range(300):
         raw = random_raw_arena(rng)
         arena = desugar_uncolored(raw)
-        arena._validate(allow_uncolored=False)
+        ColoredArena(arena.k, arena.nodes, arena.initial, arena.edges)
         assert len(arena.nodes) == len(raw.nodes) + (raw.k - 1) * sum(
             1 for e in raw.edges if e.color is None)
         collisions += any(nd.id.startswith("_@") for nd in arena.nodes
@@ -164,7 +310,7 @@ def test_desugar_fresh_id_collision_and_single_color():
                    [Edge("u", None, "@0.1"), Edge("@0.1", None, "u"),
                     Edge("_@0.1", 2, "u")])
     arena = desugar_uncolored(raw)
-    arena._validate(allow_uncolored=False)
+    ColoredArena(arena.k, arena.nodes, arena.initial, arena.edges)
     assert [nd.id for nd in arena.nodes][3:] == ["__@0.1", "@1.1"]
     assert [e.triple() for e in arena.edges] == [
         ["u", 1, "__@0.1"], ["__@0.1", 2, "@0.1"],
@@ -172,7 +318,7 @@ def test_desugar_fresh_id_collision_and_single_color():
     single = desugar_uncolored(RawArena(
         1, [Node("u", 1), Node("v", 0)], "u",
         [Edge("u", None, "v"), Edge("v", None, "u"), Edge("v", 1, "v")]))
-    single._validate(allow_uncolored=False)
+    ColoredArena(single.k, single.nodes, single.initial, single.edges)
     assert len(single.nodes) == 2
     assert [e.color for e in single.edges] == [1, 1, 1]
 

@@ -97,6 +97,21 @@ def test_analyze_rejects_arena_above_input_limits(tmp_path, capsys, k,
     assert "internal" not in report
 
 
+def test_analyze_rejects_non_integer_owner(tmp_path, capsys):
+    # an owner of true once loaded as player 1
+    path = tmp_path / "bool_owner.json"
+    path.write_text(json.dumps({
+        "k": 2, "initial": "u", "nodes": [{"id": "u", "owner": True}],
+        "edges": [{"src": "u", "color": 1, "dst": "u"},
+                  {"src": "u", "color": 2, "dst": "u"}]}))
+    code = main(["solve", "--arena", str(path), "--goal", "balanced"])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)  # exactly one JSON document
+    assert report["error"] == "owner must be an integer, got True"
+    assert "internal" not in report
+
+
 @pytest.mark.parametrize("header, body", [
     # 2m raw nodes with no clause; one node above the limit
     (f"p cnf {MAX_CHAIN_NODES // 2 + 1} 0", ""),

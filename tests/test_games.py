@@ -5,11 +5,13 @@ import pytest
 from colorgames import (ColoredArena, ContractError, FrequencyVector, Goal,
                         StrategyBudgetError, cnf_to_arena, count_strategies,
                         decide_balanced_path, decide_winner,
-                        enumerate_strategies, graph_decide, prune)
+                        enumerate_strategies, graph_decide, load_arena, prune,
+                        serialize_arena)
 from colorgames.graphs import reachable_canonical_form
 from builders import TWO_LOOPS, build_arena
-from oracles import (random_connected_arena, random_formula,
-                     reference_decide_winner)
+from oracles import (arena_fields, random_connected_arena, random_formula,
+                     reference_canonical_form, reference_decide_winner,
+                     reference_tables)
 from colorgames import CnfFormula
 
 import random
@@ -219,6 +221,45 @@ def test_parent_canonical_form_matches_pruned_arena():
         for strategy in enumerate_strategies(arena):
             assert _parent_form(arena, strategy) == \
                 _pruned_form(arena, strategy)
+
+
+def test_canonical_form_matches_id_based_reference():
+    # on loaded, pruned and directly constructed arenas, for every
+    # strategy: the same key and edge order as the BFS by node ids
+    for arena in _seeded_game_arenas(707):
+        loaded = load_arena(serialize_arena(arena))
+        direct = ColoredArena(arena.k, arena.nodes, arena.initial,
+                              arena.edges)
+        for strategy in enumerate_strategies(arena):
+            choice = strategy.as_dict()
+            for a in (arena, loaded, direct):
+                assert reachable_canonical_form(a, choice) == \
+                    reference_canonical_form(a, choice)
+            pruned = prune(arena, strategy)
+            assert arena_fields(pruned) == {
+                **arena_fields(pruned),
+                **reference_tables(pruned.nodes, pruned.edges)}
+            assert reachable_canonical_form(pruned) == \
+                reference_canonical_form(pruned)
+
+
+def test_foreign_choices_fail_where_the_reference_fails():
+    # a foreign edge fails exactly when its node is reached
+    rng = random.Random(808)
+    failures = 0
+    for _ in range(200):
+        arena = random_connected_arena(rng, two_player=True)
+        choice = {nd.id: rng.randrange(len(arena.edges))
+                  for nd in arena.nodes if rng.random() < 0.5}
+        outcomes = []
+        for form in (reachable_canonical_form, reference_canonical_form):
+            try:
+                outcomes.append(form(arena, choice))
+            except ContractError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        failures += isinstance(outcomes[0], str)
+    assert 0 < failures < 200
 
 
 def test_canonical_order_sorts_by_final_target_labels():
