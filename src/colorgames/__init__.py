@@ -10,11 +10,10 @@ from .arena import (ArenaError, ColoredArena, ContractError, DiffMatrix,
 from .games import (GameResult, MemorylessStrategy, StrategyBudgetError,
                     count_strategies, decide_winner, enumerate_strategies,
                     graph_decide, prune)
-from .graphs import (Circulation, GraphDecision, InternalCheckError,
-                     LimitMatrix, LoopSet, build_color_limit_system,
-                     decide_balanced_path, decide_bounded_path,
-                     decide_frequency_path, decompose_circulation,
-                     edge_components, eulerian_circuit, frequency_to_limit,
+from .graphs import (Circulation, GraphDecision, InternalCheckError, LoopSet,
+                     build_color_limit_system, decide_balanced_path,
+                     decide_bounded_path, decide_frequency_path,
+                     decompose_circulation, edge_components, eulerian_circuit,
                      is_zero_diff_cycle, loop_ratio_matches)
 from .lp import (Constraint, FeasibilityResult, LinearSystem, integer_scale,
                  solve_feasibility)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 
@@ -82,20 +84,16 @@ class _ArenaBase:
     ``edge_dst``/``edge_color`` give each edge's target index and color."""
 
     def __init__(self, k: int, nodes: Sequence[Node], initial: str,
-                 edges: Sequence[Edge], node_index: dict | None = None):
+                 edges: Sequence[Edge], node_index: dict[str, int]):
         self.k = k
         self.nodes = tuple(nodes)
         self.initial = initial
         self.edges = tuple(edges)
-        if node_index is None:
-            node_index = {nd.id: i for i, nd in enumerate(self.nodes)}
         self.node_index = node_index
         self.out_ids: list[list[int]] = [[] for _ in self.nodes]
         for eid, e in enumerate(self.edges):
-            si = node_index.get(e.src)
-            if si is not None:  # unknown ids are left to validation
-                self.out_ids[si].append(eid)
-        self.edge_dst = [node_index.get(e.dst) for e in self.edges]
+            self.out_ids[node_index[e.src]].append(eid)
+        self.edge_dst = [node_index[e.dst] for e in self.edges]
         self.edge_color = [e.color for e in self.edges]
 
     # --- queries -------------------------------------------------------
@@ -170,8 +168,9 @@ class RawArena(_ArenaBase):
     """An arena as written in a file, possibly with uncolored edges."""
 
     def __init__(self, k, nodes, initial, edges):
-        super().__init__(k, nodes, initial, edges)
-        _checked_index(k, self.nodes, initial, self.edges, True)
+        nodes, edges = tuple(nodes), tuple(edges)
+        super().__init__(k, nodes, initial, edges,
+                         _checked_index(k, nodes, initial, edges, True))
 
     def desugar(self) -> "ColoredArena":
         return desugar_uncolored(self)
@@ -181,8 +180,9 @@ class ColoredArena(_ArenaBase):
     """A validated arena where every edge carries a color in 1..k."""
 
     def __init__(self, k, nodes, initial, edges):
-        super().__init__(k, nodes, initial, edges)
-        _checked_index(k, self.nodes, initial, self.edges, False)
+        nodes, edges = tuple(nodes), tuple(edges)
+        super().__init__(k, nodes, initial, edges,
+                         _checked_index(k, nodes, initial, edges, False))
 
     @classmethod
     def derived(cls, k, nodes, initial, edges) -> "ColoredArena":
@@ -190,7 +190,8 @@ class ColoredArena(_ArenaBase):
         every invariant (such as pruning to a reachable part), so it is
         not validated again."""
         arena = cls.__new__(cls)
-        _ArenaBase.__init__(arena, k, nodes, initial, edges)
+        _ArenaBase.__init__(arena, k, nodes, initial, edges,
+                            {nd.id: i for i, nd in enumerate(nodes)})
         return arena
 
 
@@ -239,7 +240,8 @@ def _expand(k, nodes, initial, edges, index: dict) -> ColoredArena:
 
 def _parsed_fields(text: str) -> tuple:
     """k, nodes, initial node and edges as the text gives them.  Only
-    JSON integers, not booleans, are read as k, owners and colors."""
+    JSON integers, not booleans, are read as k, owners and colors, and
+    only JSON strings as node ids."""
     try:
         data = json.loads(text)
     except ValueError as exc:  # JSONDecodeError or an over-long integer
@@ -250,14 +252,16 @@ def _parsed_fields(text: str) -> tuple:
         if field not in data:
             raise ParseError(f"missing field {field!r}")
     try:
-        k = _integer(data["k"], "k")
-        nodes = [Node(str(n["id"]), _integer(n["owner"], "owner"))
+        k = _typed(data["k"], int, "k")
+        nodes = [Node(_typed(n["id"], str, "id"),
+                      _typed(n["owner"], int, "owner"))
                  for n in data["nodes"]]
-        initial = str(data["initial"])
+        initial = _typed(data["initial"], str, "initial")
         edges = [
-            Edge(str(e["src"]),
-                 None if e["color"] is None else _integer(e["color"], "color"),
-                 str(e["dst"]))
+            Edge(_typed(e["src"], str, "src"),
+                 None if e["color"] is None
+                 else _typed(e["color"], int, "color"),
+                 _typed(e["dst"], str, "dst"))
             for e in data["edges"]
         ]
     except (KeyError, TypeError, ValueError) as exc:
@@ -265,9 +269,10 @@ def _parsed_fields(text: str) -> tuple:
     return k, nodes, initial, edges
 
 
-def _integer(value, field: str) -> int:
-    if type(value) is not int:  # bool is an int subclass, so not accepted
-        raise ParseError(f"{field} must be an integer, got {value!r}")
+def _typed(value, kind: type, field: str):
+    if type(value) is not kind:  # bool is an int subclass, so not accepted
+        name = "a string" if kind is str else "an integer"
+        raise ParseError(f"{field} must be {name}, got {value!r}")
     return value
 
 
@@ -430,24 +435,37 @@ class FinitePath:
 
 @dataclass(frozen=True)
 class FrequencyVector:
-    """k nonnegative rationals summing exactly to one."""
+    """k nonnegative rationals summing exactly to one: the target rates
+    r_a, the desired limits of count_a(prefix) / len(prefix).  Their
+    integer form r_a = nums[a-1] / den is computed once per vector."""
 
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not self.values:
+        values = tuple(map(Fraction, self.values))
+        if not values:
             raise ContractError("empty frequency vector")
-        if any(v < 0 for v in self.values):
+        if any(v < 0 for v in values):
             raise ContractError("frequencies must be nonnegative")
-        if sum(self.values) != 1:
+        if sum(values) != 1:
             raise ContractError("frequencies must sum to exactly 1")
+        den = lcm(*(v.denominator for v in values))
+        fill = object.__setattr__  # the dataclass is frozen
+        fill(self, "values", values)
+        fill(self, "k", len(values))
+        fill(self, "den", den)
+        fill(self, "nums", tuple(v.numerator * (den // v.denominator)
+                                 for v in values))
 
     @classmethod
     def of(cls, *values) -> "FrequencyVector":
-        return cls(tuple(Fraction(v) for v in values))
+        return cls(values)
 
     @classmethod
+    @lru_cache(maxsize=32)
     def uniform(cls, k: int) -> "FrequencyVector":
+        """Equal rates 1/k; one shared (immutable) instance per k, kept
+        for the 32 most recently used k."""
         return cls(tuple(Fraction(1, k) for _ in range(k)))
 
     @classmethod
@@ -496,3 +514,16 @@ class Goal:
     @classmethod
     def frequency(cls, freq: FrequencyVector) -> "Goal":
         return cls("frequency", freq)
+
+    def rates(self, k: int) -> FrequencyVector | None:
+        """The goal's target rates on k colors: None for the bounded
+        goal, 1/k per color for the balanced one."""
+        if self.kind == "bounded":
+            return None
+        if self.kind == "balanced":
+            return FrequencyVector.uniform(k)
+        if len(self.freq) != k:
+            raise ContractError(
+                f"frequency vector has arity {len(self.freq)}, arena has {k} "
+                "colors")
+        return self.freq

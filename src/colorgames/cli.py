@@ -19,11 +19,11 @@ import traceback
 from fractions import Fraction
 from itertools import chain
 
-from .arena import (ArenaError, ColoredArena, ContractError, Edge,
-                    FinitePath, FrequencyVector, Goal, RawArena,
-                    load_arena, load_raw_arena)
+from .arena import (ArenaError, ContractError, Edge, FinitePath,
+                    FrequencyVector, Goal, ParseError, RawArena, load_arena,
+                    load_raw_arena)
 from .games import StrategyBudgetError, decide_winner, graph_decide
-from .graphs import LimitMatrix, LoopSet, frequency_to_limit
+from .graphs import LoopSet
 from .reductions import (DimacsError, cnf_to_raw_arena, parse_dimacs,
                          scheduler_arena)
 from .synth import (bounded_witness_stream, build_schedule,
@@ -49,18 +49,23 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _read_file(path: str) -> bytes:
+def _read_text(path: str, error: type[Exception]) -> tuple[str, bytes]:
+    """A file's text and bytes; bytes that are not UTF-8 raise ``error``,
+    the user error of the file's format."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            data = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    try:
+        return data.decode("utf-8"), data
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8: {exc}") from exc
 
 
-def _load_arena_file(path: str) -> tuple[ColoredArena, dict]:
-    data = _read_file(path)
-    arena = load_arena(data.decode("utf-8"))
-    return arena, {"path": path, "sha256": _digest(data)}
+def _load_arena_file(path: str, load=load_arena) -> tuple:
+    text, data = _read_text(path, ParseError)
+    return load(text), {"path": path, "sha256": _digest(data)}
 
 
 def _goal_from_args(args) -> Goal:
@@ -82,12 +87,6 @@ def _goal_dict(goal: Goal) -> dict:
         "kind": goal.kind,
         "freq": None if goal.freq is None else [str(v) for v in goal.freq],
     }
-
-
-def _check_arity(goal: Goal, arena: ColoredArena) -> None:
-    if goal.kind == "frequency" and len(goal.freq) != arena.k:
-        raise CliError(f"frequency vector has arity {len(goal.freq)}, "
-                       f"arena has {arena.k} colors")
 
 
 def _witness_dict(witness) -> dict | None:
@@ -114,7 +113,6 @@ def _emit(report: dict, started: float, code: int) -> int:
 def _cmd_analyze(args, started: float) -> int:
     arena, source = _load_arena_file(args.arena)
     goal = _goal_from_args(args)
-    _check_arity(goal, arena)
     decision = graph_decide(arena, goal)
     report = {
         "command": "analyze",
@@ -129,7 +127,6 @@ def _cmd_analyze(args, started: float) -> int:
 def _cmd_solve(args, started: float) -> int:
     arena, source = _load_arena_file(args.arena)
     goal = _goal_from_args(args)
-    _check_arity(goal, arena)
     result = decide_winner(arena, goal, max_strategies=args.max_strategies)
     report = {
         "command": "solve",
@@ -151,7 +148,7 @@ def _cmd_synth(args, started: float) -> int:
                        "--prefix-out")
     arena, source = _load_arena_file(args.arena)
     goal = _goal_from_args(args)
-    _check_arity(goal, arena)
+    rates = goal.rates(arena.k)
     decision = graph_decide(arena, goal)
     report = {
         "command": "synth",
@@ -164,7 +161,7 @@ def _cmd_synth(args, started: float) -> int:
         return _emit(report, started, 1)
 
     report["witness"] = _witness_dict(decision.witness)
-    if goal.kind == "bounded":
+    if rates is None:
         walk = decision.witness
         access = shortest_path(arena, arena.initial, walk.start)
         path_stream = bounded_witness_stream(walk, access, arena.k)
@@ -177,8 +174,6 @@ def _cmd_synth(args, started: float) -> int:
         def measure(edges) -> dict:
             return {"max_abs_diff": max_abs_diff(edges, arena.k)}
     else:
-        limit = (LimitMatrix.zero(arena.k) if goal.kind == "balanced"
-                 else frequency_to_limit(goal.freq))
         schedule = build_schedule(decision.witness, arena)
         path_stream = stream(schedule)
         report["stream"] = {"kind": "schedule",
@@ -187,7 +182,7 @@ def _cmd_synth(args, started: float) -> int:
         marks = [*range(PREFIX_BLOCK, n, PREFIX_BLOCK), n]
 
         def measure(edges) -> dict:
-            profile = convergence_profile(edges, marks, limit)
+            profile = convergence_profile(edges, marks, rates)
             return {"deviation": str(profile[-1][1])}
 
     if n <= MAX_INLINE_PREFIX:
@@ -207,8 +202,7 @@ def _cmd_synth(args, started: float) -> int:
     else:
         measured = measure(chain.from_iterable(blocks))
     report["convergence"] = {"prefix_length": n, **measured}
-    ok = (goal.kind != "bounded"
-          or measured["max_abs_diff"] <= path_stream.bound)
+    ok = rates is not None or measured["max_abs_diff"] <= path_stream.bound
     return _emit(report, started, 0 if ok else 2)
 
 
@@ -232,8 +226,8 @@ def _cmd_gen(args, started: float) -> int:
         raw = scheduler_arena()
         source = {}
     else:
-        data = _read_file(args.dimacs)
-        formula = parse_dimacs(data.decode("utf-8"))
+        text, data = _read_text(args.dimacs, DimacsError)
+        formula = parse_dimacs(text)
         raw = cnf_to_raw_arena(formula)
         source = {"path": args.dimacs, "sha256": _digest(data)}
     report = raw.to_json_dict()
@@ -247,7 +241,7 @@ def _cmd_gen(args, started: float) -> int:
 def _parse_prefix_file(path: str, arena: RawArena) -> list[Edge]:
     """Read 'src color dst' lines and check they form a walk from the
     initial node; 'null' marks an uncolored edge of a raw arena."""
-    data = _read_file(path).decode("utf-8")
+    data, _ = _read_text(path, CliError)
     known = {(e.src, e.color, e.dst) for e in arena.edges}
     edges: list[Edge] = []
     for lineno, raw in enumerate(data.splitlines(), 1):
@@ -284,14 +278,10 @@ def _cmd_verify(args, started: float) -> int:
     # walks are checked against the arena file as written, so simulation
     # plays over uncolored edges verify directly; uncolored steps do not
     # count toward any color
-    data = _read_file(args.arena)
-    arena = load_raw_arena(data.decode("utf-8"))
-    source = {"path": args.arena, "sha256": _digest(data)}
+    arena, source = _load_arena_file(args.arena, load_raw_arena)
     goal = _goal_from_args(args) if args.goal else None
-    if goal is not None and goal.kind == "frequency" \
-            and len(goal.freq) != arena.k:
-        raise CliError(f"frequency vector has arity {len(goal.freq)}, "
-                       f"arena has {arena.k} colors")
+    if goal is not None:
+        goal.rates(arena.k)  # checks the frequency vector's arity
     edges = _parse_prefix_file(args.prefix, arena)
     k = arena.k
     counts = [0] * k

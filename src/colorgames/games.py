@@ -17,9 +17,8 @@ from typing import Iterator
 
 from . import graphs
 from .arena import ColoredArena, ContractError, Goal, RawArena
-from .graphs import (GraphDecision, LimitMatrix, decide_balanced_path,
-                     decide_bounded_path, decide_frequency_path,
-                     frequency_to_limit)
+from .graphs import (GraphDecision, decide_balanced_path,
+                     decide_bounded_path, decide_frequency_path)
 
 DEFAULT_STRATEGY_BUDGET = 1 << 20
 
@@ -135,10 +134,7 @@ def decide_winner(arena: ColoredArena, goal: Goal,
     up in ``cache`` (a dict local to the call when none is given); only
     a miss builds the pruned arena and decides it.
     """
-    if goal.kind == "frequency" and len(goal.freq) != arena.k:
-        raise ContractError(
-            f"frequency vector has arity {len(goal.freq)}, arena has "
-            f"{arena.k} colors")
+    rates = goal.rates(arena.k)
     total = count_strategies(arena)
     if total > max_strategies:
         raise StrategyBudgetError(
@@ -146,20 +142,14 @@ def decide_winner(arena: ColoredArena, goal: Goal,
             f"{max_strategies}")
     if cache is None:
         cache = {}
-    if goal.kind == "bounded":
-        limit = None
-    elif goal.kind == "balanced":
-        limit = LimitMatrix.zero(arena.k)
-    else:
-        limit = frequency_to_limit(goal.freq)
-    prefix = graphs.decision_key_prefix(limit)
+    prefix = graphs.decision_key_prefix(rates)
     log: list[tuple[int, bool]] = []
     for idx, tau in enumerate(enumerate_strategies(arena)):
         # through the graphs module, so that a wrapper installed there
         # sees the canonical form
         ckey, order = graphs.reachable_canonical_form(arena, tau.as_dict())
         decision = graphs.cached_decision(
-            cache, (*prefix, ckey), arena, order, limit,
+            cache, (*prefix, ckey), arena, order, rates,
             lambda: graph_decide(prune(arena, tau), goal))
         log.append((idx, decision.exists))
         if not decision.exists:

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from .arena import (ColoredArena, ContractError, FinitePath, FrequencyVector,
-                    color_counts)
+                    Goal, color_counts)
 # integer_scale is not called here; it stays importable because
 # perfbench's tracer wraps graphs.integer_scale by name
 from .lp import (Constraint, FactoredRows, LinearSystem, factor_rows,
@@ -37,61 +38,10 @@ class InternalCheckError(RuntimeError):
     """A computed witness failed its own exact verification."""
 
 
-# --- target rate matrices -------------------------------------------------
-
-
-class LimitMatrix:
-    """Target rates r_a = nums[a-1] / den, the desired limits of
-    count_a(prefix) / len(prefix); they sum to one, so the pairwise
-    difference rates ``rows[a][b]`` = r_a - r_b, derived on demand,
-    determine them."""
-
-    def __init__(self, rates: Sequence[Fraction]):
-        self.rates = tuple(Fraction(v) for v in rates)
-        if sum(self.rates) != 1:
-            raise ContractError("target rates must sum to one")
-        self.k = len(self.rates)
-        self.den = lcm(*(v.denominator for v in self.rates))
-        self.nums = tuple(v.numerator * (self.den // v.denominator)
-                          for v in self.rates)
-
-    @classmethod
-    @lru_cache(maxsize=32)
-    def zero(cls, k: int) -> "LimitMatrix":
-        """Equal rates, all differences zero; one shared (immutable)
-        instance per k, kept for the 32 most recently used k."""
-        return cls([Fraction(1, k)] * k)
-
-    @classmethod
-    def from_frequencies(cls, freq: FrequencyVector) -> "LimitMatrix":
-        return cls(list(freq))
-
-    @cached_property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(ra - rb for rb in self.rates) for ra in self.rates)
-
-    def entry(self, a: int, b: int) -> Fraction:
-        """1-based access, matching color names."""
-        return self.rates[a - 1] - self.rates[b - 1]
-
-    def is_zero(self) -> bool:
-        return len(set(self.rates)) <= 1
-
-    def key(self) -> tuple:
-        return self.rates
-
-    def __eq__(self, other):
-        return isinstance(other, LimitMatrix) and self.rates == other.rates
-
-    def __hash__(self):
-        return hash(self.rates)
-
-    def __repr__(self):
-        return f"LimitMatrix({list(self.rates)})"
-
-
-def frequency_to_limit(freq: FrequencyVector) -> LimitMatrix:
-    return LimitMatrix.from_frequencies(freq)
+# perfbench's synth-stream workload builds its target rates through these
+# two names; the library and its tests use FrequencyVector itself
+LimitMatrix = SimpleNamespace(zero=FrequencyVector.uniform,
+                              from_frequencies=FrequencyVector)
 
 
 # --- strongly connected components ----------------------------------------
@@ -193,10 +143,11 @@ def _reachable_edge_ids(arena: ColoredArena) -> list[int]:
 
 
 def build_color_limit_system(arena: ColoredArena, edge_ids: Sequence[int],
-                             limit: LimitMatrix,
+                             rates: FrequencyVector,
                              force_edge: int | None = None) -> LinearSystem:
     """Load system over the given edges: flow conservation per incident
-    node, pairwise color balance proportional to the target rates,
+    node, pairwise color balance proportional to the target rates (the
+    count difference of colors a and b is r_a - r_b of the total load),
     nonnegativity (as the system's column attribute), and positivity.
 
     Positivity of the total load is encoded as the normalization
@@ -205,8 +156,7 @@ def build_color_limit_system(arena: ColoredArena, edge_ids: Sequence[int],
     """
     if not edge_ids:
         raise ContractError("empty edge set")
-    if limit.k != arena.k:
-        raise ContractError("limit matrix arity does not match arena colors")
+    rates = Goal.frequency(rates).rates(arena.k)
     edge_ids = list(edge_ids)
     pos = {eid: i for i, eid in enumerate(edge_ids)}
     nvars = len(edge_ids)
@@ -227,7 +177,7 @@ def build_color_limit_system(arena: ColoredArena, edge_ids: Sequence[int],
 
     for a in range(1, arena.k + 1):
         for b in range(a + 1, arena.k + 1):
-            l_ab = limit.entry(a, b)
+            l_ab = rates[a - 1] - rates[b - 1]
             coeff = {a: 1 - l_ab, b: -1 - l_ab}
             system.add_constraint(Constraint(tuple(
                 coeff.get(arena.edges[eid].color, -l_ab) for eid in edge_ids),
@@ -256,10 +206,10 @@ class _LimitProblem:
     """
 
     def __init__(self, arena: ColoredArena, edge_ids: Sequence[int],
-                 limit: LimitMatrix):
+                 rates: FrequencyVector):
         self.arena = arena
         self.edge_ids = sorted(edge_ids)
-        self.limit = limit
+        self.rates = rates
         k = arena.k
         indeg: dict[str, int] = {}
         outdeg: dict[str, int] = {}
@@ -292,9 +242,9 @@ class _LimitProblem:
             for ce in chain:
                 counts[arena.edges[ce].color - 1] += 1
             self.macros.append((e.src, v, tuple(chain), tuple(counts)))
-        self.rate_rows = [[limit.den * counts[a] - p * len(chain)
+        self.rate_rows = [[rates.den * counts[a] - p * len(chain)
                            for _, _, chain, counts in self.macros]
-                          for a, p in enumerate(limit.nums)]
+                          for a, p in enumerate(rates.nums)]
         # a cycle's rate of a color is a length-weighted mean of its
         # chains' rates: no load meets a row of one strict sign
         self.screened = any(min(row) > 0 or max(row) < 0
@@ -537,14 +487,14 @@ def eulerian_circuit(arena: ColoredArena, circ: Circulation) -> FinitePath:
 # --- witness verification ---------------------------------------------------
 
 
-def loop_ratio_matches(loop_set: LoopSet, limit: LimitMatrix) -> bool:
+def loop_ratio_matches(loop_set: LoopSet, rates: FrequencyVector) -> bool:
     """Exact check that the combined loop counts grow at the target
     rates: q * sum_i c_i * count_a(loop_i) == p_a * sum_i c_i * |loop_i|
     for every color a, with r_a = p_a / q."""
-    counts = loop_set.combined_counts(limit.k)
+    counts = loop_set.combined_counts(rates.k)
     total = loop_set.total_length()
-    return total > 0 and all(limit.den * c == p * total
-                             for c, p in zip(counts, limit.nums))
+    return total > 0 and all(rates.den * c == p * total
+                             for c, p in zip(counts, rates.nums))
 
 
 def is_zero_diff_cycle(path: FinitePath, k: int) -> bool:
@@ -622,52 +572,51 @@ def _edge_position_by_value(arena, order):
     return pos
 
 
-def decision_key_prefix(limit: LimitMatrix | None) -> tuple:
+def decision_key_prefix(rates: FrequencyVector | None) -> tuple:
     """Cache-key head for a goal's target rates, ``None`` standing for
     the bounded goal; the canonical form completes the key."""
-    return ("bounded",) if limit is None else ("limit", limit.key())
+    return ("bounded",) if rates is None else ("limit", rates.values)
 
 
 def cached_decision(cache: dict, key: tuple, arena: ColoredArena, order,
-                    limit: LimitMatrix | None, compute) -> GraphDecision:
+                    rates: FrequencyVector | None, compute) -> GraphDecision:
     """The decision stored under ``key``, or ``compute()`` stored there.
 
     ``order`` is the canonical edge order of the graph decided, by edge
     ids in ``arena``.  A hit is restored onto those edges and re-checked
     exactly; a miss stores the computed witness by canonical positions.
-    ``limit`` is the goal's target rates, ``None`` for the bounded goal.
+    ``rates`` is the goal's target rates, ``None`` for the bounded goal.
     """
     stored = cache.get(key)
     if stored is not None:
-        if limit is None:
+        if rates is None:
             return _restore_bounded_decision(arena, order, stored)
-        return _restore_limit_decision(arena, order, stored, limit)
+        return _restore_limit_decision(arena, order, stored, rates)
     decision = compute()
     cache[key] = _store_decision(arena, order, decision)
     return decision
 
 
-def _decide_limit_path(arena: ColoredArena, limit: LimitMatrix,
+def _decide_limit_path(arena: ColoredArena, rates: FrequencyVector,
                        cache: dict | None) -> GraphDecision:
     if cache is None:
-        return _compute_limit_path(arena, limit)
+        return _compute_limit_path(arena, rates)
     ckey, order = reachable_canonical_form(arena)
-    return cached_decision(cache, (*decision_key_prefix(limit), ckey), arena,
-                           order, limit,
-                           lambda: _compute_limit_path(arena, limit))
+    return cached_decision(cache, (*decision_key_prefix(rates), ckey), arena,
+                           order, rates,
+                           lambda: _compute_limit_path(arena, rates))
 
 
-def _compute_limit_path(arena: ColoredArena, limit: LimitMatrix) -> GraphDecision:
-    if limit.k != arena.k:
-        raise ContractError("limit arity does not match arena colors")
+def _compute_limit_path(arena: ColoredArena,
+                        rates: FrequencyVector) -> GraphDecision:
     for edge_ids in edge_components(arena, _reachable_edge_ids(arena)):
-        problem = _LimitProblem(arena, edge_ids, limit)
+        problem = _LimitProblem(arena, edge_ids, rates)
         loads = problem.solve()
         if loads is None:
             continue
         circ = Circulation(problem.expand(loads))
         loop_set = decompose_circulation(arena, circ)
-        if not loop_ratio_matches(loop_set, limit):
+        if not loop_ratio_matches(loop_set, rates):
             raise InternalCheckError("loop set does not match the target "
                                      "rates")
         return GraphDecision(True, loop_set)
@@ -690,7 +639,7 @@ def _store_decision(arena, order, decision):
     return (True, positions(witness))
 
 
-def _restore_limit_decision(arena, order, stored, limit):
+def _restore_limit_decision(arena, order, stored, rates):
     exists, payload = stored
     if not exists:
         return GraphDecision(False)
@@ -701,7 +650,7 @@ def _restore_limit_decision(arena, order, stored, limit):
     for path, _ in loop_set.loops:
         if not path.is_simple_cycle():
             raise InternalCheckError("cached loop is not a simple cycle")
-    if not loop_ratio_matches(loop_set, limit):
+    if not loop_ratio_matches(loop_set, rates):
         raise InternalCheckError("cached loop set does not match the target "
                                  "rates")
     return GraphDecision(True, loop_set)
@@ -711,17 +660,14 @@ def decide_frequency_path(arena: ColoredArena, freq: FrequencyVector,
                           cache: dict | None = None) -> GraphDecision:
     """Does some infinite path from the initial node realize exactly the
     given per-color frequencies?"""
-    if len(freq) != arena.k:
-        raise ContractError(
-            f"frequency vector has arity {len(freq)}, arena has {arena.k} "
-            "colors")
-    return _decide_limit_path(arena, frequency_to_limit(freq), cache)
+    return _decide_limit_path(arena, Goal.frequency(freq).rates(arena.k),
+                              cache)
 
 
 def decide_balanced_path(arena: ColoredArena,
                          cache: dict | None = None) -> GraphDecision:
     """Balanced is the uniform-frequency special case 1/k per color."""
-    return _decide_limit_path(arena, LimitMatrix.zero(arena.k), cache)
+    return _decide_limit_path(arena, FrequencyVector.uniform(arena.k), cache)
 
 
 # --- bounded difference ------------------------------------------------------
@@ -751,7 +697,7 @@ def _restore_bounded_decision(arena, order, stored):
 
 
 def _compute_bounded_path(arena: ColoredArena) -> GraphDecision:
-    zero = LimitMatrix.zero(arena.k)
+    zero = FrequencyVector.uniform(arena.k)
     for edge_ids in edge_components(arena, _reachable_edge_ids(arena)):
         walk = _zero_diff_component_walk(arena, edge_ids, zero)
         if walk is not None:

@@ -21,8 +21,9 @@ from fractions import Fraction
 from itertools import chain, count, cycle, islice
 from typing import Iterable, Iterator
 
-from .arena import ColoredArena, ContractError, Edge, FinitePath, color_counts
-from .graphs import LimitMatrix, LoopSet
+from .arena import (ColoredArena, ContractError, Edge, FinitePath,
+                    FrequencyVector, color_counts)
+from .graphs import LoopSet
 
 
 @dataclass(frozen=True)
@@ -197,21 +198,21 @@ def stream(schedule: PathSchedule) -> PathStream:
 
 
 def measure_convergence(path_stream: Iterable[Edge], n: int,
-                        limit: LimitMatrix) -> Fraction:
+                        rates: FrequencyVector) -> Fraction:
     """Largest entrywise gap between observed pairwise difference rates
     at prefix length n and the target rates, as an exact rational."""
-    return convergence_profile(path_stream, [n], limit)[0][1]
+    return convergence_profile(path_stream, [n], rates)[0][1]
 
 
 def convergence_profile(path_stream: Iterable[Edge], checkpoints,
-                        limit: LimitMatrix) -> list[tuple[int, Fraction]]:
+                        rates: FrequencyVector) -> list[tuple[int, Fraction]]:
     """Deviations at several prefix lengths from a single pass.  Each
     segment between two checkpoints is drawn at once and its colors
     counted in C."""
     marks = sorted(set(checkpoints))
     if not marks or marks[0] < 1:
         raise ContractError("checkpoints must be positive")
-    k = limit.k
+    k = rates.k
     bad_color = f"stream has an edge color outside 1..{k}"
     counts = [0] * k
     out = []
@@ -234,10 +235,10 @@ def convergence_profile(path_stream: Iterable[Edge], checkpoints,
             raise ContractError(bad_color)
         # the largest pairwise gap |d_a - d_b|, d_a = counts_a/pos - r_a,
         # is max d - min d; in integers, pos * den * d_a
-        scaled = [limit.den * c - p * pos
-                  for c, p in zip(counts, limit.nums)]
+        scaled = [rates.den * c - p * pos
+                  for c, p in zip(counts, rates.nums)]
         out.append((mark, Fraction(max(scaled) - min(scaled),
-                                   pos * limit.den)))
+                                   pos * rates.den)))
     return out
 
 

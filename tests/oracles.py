@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 from colorgames import (CnfFormula, ColoredArena, ContractError, Edge,
                         FeasibilityResult, FinitePath, FrequencyVector, Goal,
-                        LimitMatrix, LinearSystem, MemorylessStrategy, Node,
+                        LinearSystem, MemorylessStrategy, Node,
                         ParseError, PathSchedule, RawArena, ValidationError,
                         build_color_limit_system, enumerate_strategies,
                         graph_decide, prune)
@@ -424,7 +424,7 @@ def reference_surviving_edges(arena: ColoredArena, group) -> set[int]:
     with x_e >= 1 for each edge that no solution has loaded yet, all on
     the per-edge system and decided by the rational reference solver."""
     group = sorted(group)
-    zero = LimitMatrix.zero(arena.k)
+    zero = FrequencyVector.uniform(arena.k)
     survivors: set[int] = set()
     base = reference_feasibility(build_color_limit_system(arena, group, zero))
     if not base.feasible:
@@ -480,7 +480,8 @@ def reference_load_arena(text: str) -> dict:
     """The two-step loader one-pass loading replaced: parse into a raw
     arena, validate it in full, then expand each uncolored edge against
     a set of used ids.  It keeps the checks' order and messages; its
-    only change is the rule that k, owners and colors are JSON integers.
+    only changes are the rules that k, owners and colors are JSON
+    integers and node ids, the initial node and edge ends JSON strings.
     Returns the expanded fields and their index tables, built naively."""
     try:
         data = json.loads(text)
@@ -496,15 +497,20 @@ def reference_load_arena(text: str) -> dict:
         if type(value) is not int:
             raise ParseError(f"{field} must be an integer, got {value!r}")
         return value
+
+    def string(value, field):
+        if type(value) is not str:
+            raise ParseError(f"{field} must be a string, got {value!r}")
+        return value
     try:
         k = integer(data["k"], "k")
-        nodes = [Node(str(n["id"]), integer(n["owner"], "owner"))
+        nodes = [Node(string(n["id"], "id"), integer(n["owner"], "owner"))
                  for n in data["nodes"]]
-        initial = str(data["initial"])
-        edges = [Edge(str(e["src"]),
+        initial = string(data["initial"], "initial")
+        edges = [Edge(string(e["src"], "src"),
                       None if e["color"] is None
                       else integer(e["color"], "color"),
-                      str(e["dst"]))
+                      string(e["dst"], "dst"))
                  for e in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed arena object: {exc}") from exc
@@ -689,7 +695,7 @@ def reference_bounded_stream(walk: FinitePath,
 
 
 def reference_profile(edges: Iterable[Edge], marks: list[int],
-                      limit: LimitMatrix) -> list[tuple[int, Fraction]]:
+                      limit: FrequencyVector) -> list[tuple[int, Fraction]]:
     """Deviation from the target difference rates at each mark, counted
     edge by edge."""
     k = limit.k
@@ -702,7 +708,7 @@ def reference_profile(edges: Iterable[Edge], marks: list[int],
             counts[next(it).color - 1] += 1
             pos += 1
         out.append((mark, max(
-            (abs(Fraction(counts[a] - counts[b], pos) - limit.rows[a][b])
+            (abs(Fraction(counts[a] - counts[b], pos) - (limit[a] - limit[b]))
              for a in range(k) for b in range(a + 1, k)),
             default=Fraction(0))))
     return out

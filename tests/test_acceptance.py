@@ -16,11 +16,11 @@ from fractions import Fraction
 
 import pytest
 
-from colorgames import (CnfFormula, FrequencyVector, Goal, LimitMatrix,
+from colorgames import (CnfFormula, FrequencyVector, Goal,
                         build_schedule, cnf_to_arena, color_counts,
                         decide_balanced_path, decide_bounded_path,
                         decide_frequency_path, decide_winner, diff_matrix,
-                        enumerate_strategies, frequency_to_limit,
+                        enumerate_strategies,
                         measure_convergence, prune, scheduler_arena,
                         simulate_scheduler_policy, solve_feasibility, stream,
                         tautology_bruteforce)
@@ -259,12 +259,12 @@ def _boundary_envelope_holds(schedule, limit, rounds_fitted, rounds_checked):
 
 def test_criterion_5_convergence():
     arena = build_arena(2, TWO_LOOPS)
-    zero = LimitMatrix.zero(2)
+    zero = FrequencyVector.uniform(2)
     balanced = build_schedule(decide_balanced_path(arena).witness, arena)
     dev_balanced = measure_convergence(stream(balanced), 10 ** 6, zero)
 
     freq = FrequencyVector.of("2/3", "1/3")
-    limit = frequency_to_limit(freq)
+    limit = freq
     weighted = build_schedule(decide_frequency_path(arena, freq).witness,
                               arena)
     dev_weighted = measure_convergence(stream(weighted), 10 ** 6, limit)

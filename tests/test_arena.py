@@ -138,6 +138,29 @@ def test_load_rejects_non_integer_fields(field, value):
             load(json.dumps(data))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("id", 1), ("initial", 1), ("src", 1), ("dst", None)])
+def test_load_rejects_non_string_ids(field, value):
+    # str() once read these as the node "1" (and "None")
+    data = json.loads(arena_text(1, [("1", 0)], "1", [("1", 1, "1")]))
+    if field == "id":
+        data["nodes"][0]["id"] = value
+    elif field == "initial":
+        data["initial"] = value
+    else:
+        data["edges"][0][field] = value
+    for load in (load_arena, load_raw_arena):
+        with pytest.raises(ParseError, match=f"^{field} must be a string, "
+                                             f"got {value!r}$"):
+            load(json.dumps(data))
+
+
+def test_number_id_is_not_a_duplicate_of_its_string():
+    text = arena_text(1, [("1", 0), (1, 0)], "1", [("1", 1, "1")])
+    with pytest.raises(ParseError, match="^id must be a string, got 1$"):
+        load_arena(text)
+
+
 def test_load_rejects_over_long_integer_as_json_error():
     text = ('{"k": ' + "1" * 5000
             + ', "nodes": [], "initial": "a", "edges": []}')
@@ -187,6 +210,10 @@ def _broken_texts(rng):
         (1.0, "0", False))))
     yield variant(lambda d: d["edges"][edge].update(color=rng.choice(
         (1.5, "1", True))))
+    yield variant(lambda d: d["nodes"][node].update(id=7))
+    yield variant(lambda d: d.update(initial=0))
+    yield variant(lambda d: d["edges"][edge].update(src=None))
+    yield variant(lambda d: d["edges"][edge].update(dst=[node_id]))
     yield variant(lambda d: d.update(k=rng.choice((0, -3))))
     yield variant(lambda d: d.update(k=MAX_COLORS + 1))
     yield variant(lambda d: d["nodes"].append(dict(d["nodes"][node])))

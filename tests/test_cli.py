@@ -112,6 +112,62 @@ def test_analyze_rejects_non_integer_owner(tmp_path, capsys):
     assert "internal" not in report
 
 
+def single_error_report(capsys, argv) -> dict:
+    """Run a command that must fail on the user's input: exit 2 and one
+    JSON report, not marked internal."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)  # exactly one JSON document
+    assert "internal" not in report  # a user error, not a bug
+    return report
+
+
+def test_analyze_rejects_non_string_ids(tmp_path, capsys):
+    # ids that are JSON numbers once loaded as strings and answered
+    path = tmp_path / "number_ids.json"
+    path.write_text(json.dumps({
+        "k": 1, "initial": 1, "nodes": [{"id": 1, "owner": 0}],
+        "edges": [{"src": 1, "color": 1, "dst": 1}]}))
+    report = single_error_report(
+        capsys, ["analyze", "--arena", str(path), "--goal", "balanced"])
+    assert report["error"] == "id must be a string, got 1"
+
+
+@pytest.mark.parametrize("site", ["arena", "dimacs", "verify-arena",
+                                  "prefix"])
+def test_file_that_is_not_utf8_is_a_user_error(two_loops_file, tmp_path,
+                                               capsys, site):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    prefix = tmp_path / "p.txt"
+    prefix.write_text("u 1 u\n")
+    argv = {
+        "arena": ["analyze", "--arena", str(bad), "--goal", "balanced"],
+        "dimacs": ["gen", "cnf", "--dimacs", str(bad)],
+        "verify-arena": ["verify", "--arena", str(bad),
+                         "--prefix", str(prefix)],
+        "prefix": ["verify", "--arena", two_loops_file,
+                   "--prefix", str(bad)],
+    }[site]
+    report = single_error_report(capsys, argv)
+    assert report["error"].startswith(f"{bad} is not UTF-8")
+
+
+@pytest.mark.parametrize("command", ["analyze", "solve", "synth", "verify"])
+def test_frequency_arity_mismatch_is_a_user_error(two_loops_file, tmp_path,
+                                                  capsys, command):
+    prefix = tmp_path / "p.txt"
+    prefix.write_text("u 1 u\n")
+    argv = [command, "--arena", two_loops_file,
+            "--goal", "freq", "--freq", "1/3,1/3,1/3"]
+    if command == "verify":
+        argv += ["--prefix", str(prefix)]
+    report = single_error_report(capsys, argv)
+    assert report["error"] == ("frequency vector has arity 3, "
+                               "arena has 2 colors")
+
+
 @pytest.mark.parametrize("header, body", [
     # 2m raw nodes with no clause; one node above the limit
     (f"p cnf {MAX_CHAIN_NODES // 2 + 1} 0", ""),

@@ -8,12 +8,11 @@ from math import gcd
 
 import pytest
 
-from colorgames import (Circulation, ContractError, FrequencyVector,
-                        LimitMatrix, build_color_limit_system, graphs,
-                        load_arena,
+from colorgames import (Circulation, ContractError, FrequencyVector, Goal,
+                        build_color_limit_system, graphs, load_arena,
                         decide_balanced_path, decide_bounded_path,
                         decide_frequency_path, decompose_circulation,
-                        edge_components, eulerian_circuit, frequency_to_limit,
+                        edge_components, eulerian_circuit,
                         is_zero_diff_cycle, loop_ratio_matches,
                         solve_feasibility)
 from builders import TWO_LOOPS, build_arena
@@ -24,30 +23,31 @@ from oracles import (_strong_groups, component_edge_ids,
                      reference_surviving_edges, reference_zero_diff_support)
 
 
-def test_frequency_to_limit_examples():
-    assert frequency_to_limit(FrequencyVector.of("1/2", "1/2")).is_zero()
-    lm = frequency_to_limit(FrequencyVector.of("2/3", "1/3"))
-    assert lm.entry(1, 2) == Fraction(1, 3)
-    assert lm.entry(2, 1) == Fraction(-1, 3)
-    assert frequency_to_limit(
-        FrequencyVector.of("1/3", "1/3", "1/3")).is_zero()
+def test_frequency_vector_integer_form_examples():
+    half = FrequencyVector.of("1/2", "1/2")
+    assert (half.k, half.den, half.nums) == (2, 2, (1, 1))
+    assert half == FrequencyVector.uniform(2)
+    skewed = FrequencyVector.of("2/3", "1/3")
+    assert (skewed.den, skewed.nums) == (3, (2, 1))
+    assert skewed.values == (Fraction(2, 3), Fraction(1, 3))
+    assert FrequencyVector.of(1, 0).nums == (1, 0)
+    assert FrequencyVector.of("1/3", "1/3", "1/3") \
+        == FrequencyVector.uniform(3)
 
 
-def test_limit_matrix_invariants_random():
+def test_frequency_vector_integer_form_random():
+    # nums / den reproduces every rate, with den the least common
+    # denominator, so the integer rows of a load program are primitive
     rng = random.Random(2)
     for _ in range(30):
         k = rng.randint(1, 5)
         raw = [Fraction(rng.randint(0, 5)) for _ in range(k)]
-        total = sum(raw) or Fraction(1)
-        freq = FrequencyVector(tuple(v / total for v in raw)) \
+        freq = FrequencyVector(tuple(v / sum(raw) for v in raw)) \
             if sum(raw) else FrequencyVector.uniform(k)
-        lm = frequency_to_limit(freq)
-        for a in range(1, k + 1):
-            assert lm.entry(a, a) == 0
-            for b in range(1, k + 1):
-                assert lm.entry(a, b) == -lm.entry(b, a)
-                for c in range(1, k + 1):
-                    assert lm.entry(a, b) + lm.entry(b, c) == lm.entry(a, c)
+        assert freq.k == k and sum(freq.nums) == freq.den
+        assert all(Fraction(p, freq.den) == v
+                   for p, v in zip(freq.nums, freq.values))
+        assert gcd(freq.den, *freq.nums) == 1
 
 
 def test_scc_single_node_loop():
@@ -90,7 +90,8 @@ def test_edge_components_match_reachability_oracle():
 
 def test_limit_system_two_loops_balanced():
     arena = build_arena(2, TWO_LOOPS)
-    system = build_color_limit_system(arena, [0, 1], LimitMatrix.zero(2))
+    system = build_color_limit_system(arena, [0, 1],
+                                      FrequencyVector.uniform(2))
     result = solve_feasibility(system)
     assert result.feasible
     assert result.assignment == (Fraction(1, 2), Fraction(1, 2))
@@ -98,7 +99,7 @@ def test_limit_system_two_loops_balanced():
 
 def test_limit_system_two_loops_pure_color():
     arena = build_arena(2, TWO_LOOPS)
-    lm = frequency_to_limit(FrequencyVector.of(1, 0))
+    lm = FrequencyVector.of(1, 0)
     system = build_color_limit_system(arena, [0, 1], lm)
     result = solve_feasibility(system)
     assert result.feasible
@@ -107,7 +108,7 @@ def test_limit_system_two_loops_pure_color():
 
 def test_limit_system_missing_color_infeasible():
     arena = build_arena(2, [("u", 1, "u")])
-    system = build_color_limit_system(arena, [0], LimitMatrix.zero(2))
+    system = build_color_limit_system(arena, [0], FrequencyVector.uniform(2))
     assert not solve_feasibility(system).feasible
 
 
@@ -137,7 +138,7 @@ def test_decide_balanced_distinct_self_loops():
         arena = build_arena(k, [("u", c, "u") for c in range(1, k + 1)])
         decision = decide_balanced_path(arena)
         assert decision.exists
-        assert loop_ratio_matches(decision.witness, LimitMatrix.zero(k))
+        assert loop_ratio_matches(decision.witness, FrequencyVector.uniform(k))
 
 
 def test_decide_balanced_single_color_notexists():
@@ -155,7 +156,7 @@ def test_decide_balanced_block_word_alphabet():
     ])
     decision = decide_balanced_path(arena)
     assert decision.exists
-    assert loop_ratio_matches(decision.witness, LimitMatrix.zero(3))
+    assert loop_ratio_matches(decision.witness, FrequencyVector.uniform(3))
 
 
 def test_decide_bounded_two_loops():
@@ -271,7 +272,7 @@ def test_witness_soundness_random():
             decision = decide_frequency_path(arena, freq)
             if decision.exists:
                 assert loop_ratio_matches(decision.witness,
-                                          frequency_to_limit(freq))
+                                          freq)
         bounded = decide_bounded_path(arena)
         if bounded.exists:
             assert is_zero_diff_cycle(bounded.witness, arena.k)
@@ -304,7 +305,7 @@ def test_cache_transfers_between_isomorphic_arenas():
     # the transferred witness must live on the second arena's nodes
     nodes = {e.src for p, _ in d2.witness.loops for e in p.edges}
     assert nodes <= {"x", "y"}
-    assert loop_ratio_matches(d2.witness, LimitMatrix.zero(2))
+    assert loop_ratio_matches(d2.witness, FrequencyVector.uniform(2))
 
 
 def test_contracted_and_edge_level_systems_agree():
@@ -312,9 +313,9 @@ def test_contracted_and_edge_level_systems_agree():
     # exactly the edge sets where the per-edge system is
     from colorgames.graphs import _LimitProblem
     rng = random.Random(61)
-    targets = {2: [LimitMatrix.zero(2),
-                   frequency_to_limit(FrequencyVector.of("1/3", "2/3"))],
-               3: [LimitMatrix.zero(3)]}
+    targets = {2: [FrequencyVector.uniform(2),
+                   FrequencyVector.of("1/3", "2/3")],
+               3: [FrequencyVector.uniform(3)]}
     for _ in range(40):
         arena = random_connected_arena(rng)
         for eids in component_edge_ids(arena):
@@ -408,7 +409,7 @@ def test_cache_with_parallel_identical_edges():
     d1 = decide_balanced_path(one, cache=cache)
     d2 = decide_balanced_path(two, cache=cache)
     assert d1.exists and d2.exists
-    assert loop_ratio_matches(d2.witness, LimitMatrix.zero(2))
+    assert loop_ratio_matches(d2.witness, FrequencyVector.uniform(2))
 
 
 def test_cache_matches_fresh_decisions():
@@ -425,24 +426,31 @@ def test_cache_matches_fresh_decisions():
         assert fresh_w.exists == cached_w.exists
 
 
-def test_zero_limit_matrix_is_shared():
+def test_uniform_frequency_vector_is_shared():
     for k in (1, 2, 3, 7):
-        assert LimitMatrix.zero(k) is LimitMatrix.zero(k)
-        assert LimitMatrix.zero(k).is_zero() and LimitMatrix.zero(k).k == k
-    assert LimitMatrix.zero(2) is not LimitMatrix.zero(3)
+        assert FrequencyVector.uniform(k) is FrequencyVector.uniform(k)
+        uniform = FrequencyVector.uniform(k)
+        assert len(set(uniform)) == 1 and uniform.k == k
+        assert (uniform.den, uniform.nums) == (k, (1,) * k)
+    assert FrequencyVector.uniform(2) is not FrequencyVector.uniform(3)
 
 
-def test_limit_matrix_stores_one_rate_vector():
-    lm = LimitMatrix.from_frequencies(FrequencyVector.of("1/2", "1/3", "1/6"))
-    assert lm.rates == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
-    assert (lm.nums, lm.den) == ((3, 2, 1), 6)
-    assert lm.key() == lm.rates
-    assert lm.rows[0] == (0, Fraction(1, 6), Fraction(1, 3))
-    assert LimitMatrix([1, 0]).rates == (1, 0)
-    # rates are stored as given and must sum to one
-    for rates in ([5, 5, 5], [Fraction(1, 2), 0], []):
+def test_frequency_vector_stores_one_rate_vector():
+    freq = FrequencyVector((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    assert freq.values == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+    assert (freq.nums, freq.den) == ((3, 2, 1), 6)
+    assert graphs.decision_key_prefix(freq) == ("limit", freq.values)
+    assert all(type(v) is Fraction for v in FrequencyVector((1, 0)).values)
+    # rates must be nonnegative and sum to one
+    for rates in ([5, 5, 5], [Fraction(1, 2), 0], [], [2, -1]):
         with pytest.raises(ContractError):
-            LimitMatrix(rates)
+            FrequencyVector(tuple(rates))
+    # a goal's rates must have one entry per color
+    with pytest.raises(ContractError, match="frequency vector has arity 2, "
+                                            "arena has 3 colors"):
+        Goal.frequency(FrequencyVector.uniform(2)).rates(3)
+    assert Goal.balanced().rates(3) is FrequencyVector.uniform(3)
+    assert Goal.bounded().rates(3) is None
 
 
 def random_frequency(rng, k):
@@ -482,7 +490,7 @@ def test_rate_screen_fires_only_on_infeasible_programs(monkeypatch):
         assert problem.solve() is None
         assert problem.solve(cover={0}) is None
         system = build_color_limit_system(problem.arena, problem.edge_ids,
-                                          problem.limit)
+                                          problem.rates)
         assert not reference_feasibility(system).feasible
     assert 100 < len(screened) < len(problems) - 100
 
@@ -494,12 +502,12 @@ def test_rate_screen_keeps_a_target_equal_to_a_chain_rate():
                             ("u", 1, "c"), ("c", 2, "d"), ("d", 2, "u")])
     edge_ids = range(len(arena.edges))
     for freq, loop in ((("2/3", "1/3"), "uab"), (("1/3", "2/3"), "ucd")):
-        limit = frequency_to_limit(FrequencyVector.of(*freq))
+        limit = FrequencyVector.of(*freq)
         assert not graphs._LimitProblem(arena, edge_ids, limit).screened
         decision = decide_frequency_path(arena, FrequencyVector.of(*freq))
         [(path, _)] = decision.witness.loops
         assert "".join(e.src for e in path.edges) == loop
-    beyond = frequency_to_limit(FrequencyVector.of("3/4", "1/4"))
+    beyond = FrequencyVector.of("3/4", "1/4")
     assert graphs._LimitProblem(arena, edge_ids, beyond).screened
     assert not decide_frequency_path(arena,
                                      FrequencyVector.of("3/4", "1/4")).exists
@@ -513,7 +521,7 @@ def test_load_program_rows_stay_linear_in_colors():
         "k": k, "nodes": [{"id": "u", "owner": 0}], "initial": "u",
         "edges": [{"src": "u", "color": None, "dst": "u"}] * 5}))
     problem = graphs._LimitProblem(arena, range(len(arena.edges)),
-                                   LimitMatrix.zero(k))
+                                   FrequencyVector.uniform(k))
     for system in (problem.system(), problem.system(cover={0, 1})):
         assert len(system.constraints) <= len(problem.retained) + k
     assert decide_balanced_path(arena).exists

@@ -8,7 +8,7 @@ import pytest
 from colorgames import (Constraint, ContractError, FrequencyVector,
                         LinearSystem, build_color_limit_system,
                         decide_bounded_path, decide_frequency_path,
-                        frequency_to_limit, integer_scale, solve_feasibility)
+                        integer_scale, solve_feasibility)
 from colorgames.lp import factor_rows
 from oracles import (component_edge_ids, fm_feasible, random_connected_arena,
                      random_rational_system, random_system,
@@ -149,12 +149,11 @@ def test_matches_rational_reference_on_load_systems(monkeypatch):
         arena = random_connected_arena(rng, max_nodes=6, max_edges=12)
         for freq in targets[arena.k] + [FrequencyVector.uniform(arena.k)]:
             decide_frequency_path(arena, freq)
-            limit = frequency_to_limit(freq)
             for eids in component_edge_ids(arena):
                 # the per-edge system keeps exact-pivot coverage of cold
                 # load-shaped systems, as every load program starts warm
-                captured.append(build_color_limit_system(arena, eids, limit))
-                problem = _LimitProblem(arena, eids, limit)
+                captured.append(build_color_limit_system(arena, eids, freq))
+                problem = _LimitProblem(arena, eids, freq)
                 captured.append(problem.system())
                 captured.append(problem.system(
                     cover=set(range(len(problem.macros)))))

@@ -10,7 +10,7 @@ from fractions import Fraction
 from colorgames import (ColoredArena, Edge, FrequencyVector, Goal, Node,
                         RawArena, cnf_to_arena, decide_balanced_path,
                         decide_bounded_path, decide_frequency_path,
-                        decide_winner, frequency_to_limit,
+                        decide_winner,
                         is_zero_diff_cycle, loop_ratio_matches)
 from oracles import (random_connected_arena, random_formula,
                      random_raw_arena, reference_decide_winner)
@@ -127,9 +127,9 @@ def one_player_answers(arena, freq):
     answers = []
     for decision, ok in (
             (decide_frequency_path(arena, freq), lambda w: loop_ratio_matches(
-                w, frequency_to_limit(freq))),
+                w, freq)),
             (decide_balanced_path(arena), lambda w: loop_ratio_matches(
-                w, frequency_to_limit(FrequencyVector.uniform(arena.k)))),
+                w, FrequencyVector.uniform(arena.k))),
             (decide_bounded_path(arena),
              lambda w: is_zero_diff_cycle(w, arena.k))):
         assert not decision.exists or ok(decision.witness)

@@ -8,11 +8,11 @@ from itertools import islice
 import pytest
 
 from colorgames import (ContractError, Edge, FinitePath, FrequencyVector,
-                        LimitMatrix, LoopSet, PathStream,
+                        LoopSet, PathStream,
                         bounded_witness_stream, build_schedule,
                         convergence_profile, decide_balanced_path,
                         decide_bounded_path, decide_frequency_path,
-                        diff_matrix, edge_components, frequency_to_limit,
+                        diff_matrix, edge_components,
                         measure_convergence, stream)
 from colorgames.synth import shortest_path
 from builders import TWO_LOOPS, build_arena
@@ -135,12 +135,12 @@ def test_measure_convergence_zero_on_period_multiples():
     sched = build_schedule(decide_balanced_path(arena).witness, arena)
     for n in (2, 10, 40):
         assert measure_convergence(stream(sched), n,
-                                   LimitMatrix.zero(2)) == 0
+                                   FrequencyVector.uniform(2)) == 0
 
 
 def test_measure_convergence_boundary_bound_decreasing():
     _, sched = two_loop_schedule()
-    zero = LimitMatrix.zero(2)
+    zero = FrequencyVector.uniform(2)
     devs = [measure_convergence(stream(sched), sched.boundary(i), zero)
             for i in range(1, 11)]
     for i, d in enumerate(devs, start=1):
@@ -151,7 +151,7 @@ def test_measure_convergence_boundary_bound_decreasing():
 def test_block_word_deviation_shrinks():
     word3 = growing_block_word(3)
     word30 = growing_block_word(30)
-    zero = LimitMatrix.zero(3)
+    zero = FrequencyVector.uniform(3)
     arena = build_arena(3, [("u", c, "u") for c in (1, 2, 3)])
 
     def word_stream(word):
@@ -168,7 +168,7 @@ def test_block_word_deviation_shrinks():
 
 def test_convergence_profile_matches_single_measurements():
     _, sched = two_loop_schedule(FrequencyVector.of("2/3", "1/3"))
-    lm = frequency_to_limit(FrequencyVector.of("2/3", "1/3"))
+    lm = FrequencyVector.of("2/3", "1/3")
     marks = [3, 9, 18, 30]
     profile = convergence_profile(stream(sched), marks, lm)
     for mark, dev in profile:
@@ -179,7 +179,7 @@ def test_peak_envelope_is_square_root():
     # right after the first loop block of round i the deviation peaks at
     # i / i^2, so dev^2 * n is exactly 1 at every peak
     _, sched = two_loop_schedule()
-    zero = LimitMatrix.zero(2)
+    zero = FrequencyVector.uniform(2)
     peaks = [sched.boundary(i - 1) + i for i in range(1, 60)]
     for mark, dev in convergence_profile(stream(sched), peaks, zero):
         assert dev * dev * mark == 1
@@ -266,12 +266,11 @@ def access_path(arena, target: str) -> tuple[Edge, ...]:
     return tuple(reversed(path))
 
 
-def random_limit(rng: random.Random, k: int) -> LimitMatrix:
+def random_rates(rng: random.Random, k: int) -> FrequencyVector:
     weights = [rng.randint(0, 4) for _ in range(k)]
     weights[rng.randrange(k)] += 1
     total = sum(weights)
-    return LimitMatrix.from_frequencies(
-        FrequencyVector(tuple(Fraction(w, total) for w in weights)))
+    return FrequencyVector(tuple(Fraction(w, total) for w in weights))
 
 
 def test_stream_matches_reference_at_round_boundaries():
@@ -327,7 +326,7 @@ def test_bounded_stream_matches_reference():
 def test_convergence_profile_matches_per_edge_recount():
     rng = random.Random(45)
     for arena, sched in seeded_schedules(45, 30):
-        limit = random_limit(rng, arena.k)
+        limit = random_rates(rng, arena.k)
         n = rng.randint(1, 4000)
         marks = [rng.randint(1, n) for _ in range(rng.randint(1, 8))]
         marks += [sched.boundary(1), n]
@@ -345,7 +344,7 @@ def test_convergence_profile_counts_every_color(k):
     rng = random.Random(46 + k)
     edges = [Edge("u", rng.choice((1, k, rng.randint(1, k))), "u")
              for _ in range(3000)]
-    limit = LimitMatrix.zero(k) if k > 5 else random_limit(rng, k)
+    limit = FrequencyVector.uniform(k) if k > 5 else random_rates(rng, k)
     marks = sorted(rng.sample(range(1, 3001), 3))
     assert convergence_profile(edges, marks, limit) == \
         reference_profile(edges, marks, limit)
@@ -357,7 +356,7 @@ def test_worst_gap_from_the_rate_vector_matches_pairwise_gaps(k):
     # gap: the same Fraction as the per-pair reference, skewed rates too
     rng = random.Random(47 + k)
     for _ in range(3):
-        limit = random_limit(rng, k)
+        limit = random_rates(rng, k)
         edges = [Edge("u", rng.choice((1, k, rng.randint(1, k))), "u")
                  for _ in range(rng.randint(1, 2000))]
         marks = sorted({rng.randint(1, len(edges)) for _ in range(3)})
@@ -371,9 +370,9 @@ def test_short_stream_raises_contract_error():
         PathStream("u", iter(edges)).take(6)
     with pytest.raises(ContractError):
         convergence_profile(PathStream("u", iter(edges)), [2, 6],
-                            LimitMatrix.zero(2))
+                            FrequencyVector.uniform(2))
     with pytest.raises(ContractError):
-        measure_convergence(edges, 6, LimitMatrix.zero(2))
+        measure_convergence(edges, 6, FrequencyVector.uniform(2))
     assert PathStream("u", iter(edges)).take(5) == edges
 
 
@@ -382,7 +381,7 @@ def test_short_stream_raises_contract_error():
 def test_color_outside_palette_raises_contract_error(k, bad):
     color = k + 1 if bad == "k+1" else bad
     edges = [Edge("u", 1, "u"), Edge("u", color, "u"), Edge("u", 2, "u")]
-    limit = LimitMatrix.zero(k)
+    limit = FrequencyVector.uniform(k)
     with pytest.raises(ContractError):
         convergence_profile(edges, [3], limit)
     with pytest.raises(ContractError):
@@ -396,7 +395,7 @@ def test_negative_take_and_empty_marks_raise_contract_error():
     with pytest.raises(ContractError):
         stream(sched).take(-1)
     with pytest.raises(ContractError):
-        measure_convergence(stream(sched), 0, LimitMatrix.zero(2))
+        measure_convergence(stream(sched), 0, FrequencyVector.uniform(2))
     with pytest.raises(ContractError):
-        convergence_profile(stream(sched), [], LimitMatrix.zero(2))
+        convergence_profile(stream(sched), [], FrequencyVector.uniform(2))
     assert stream(sched).take(0) == []
