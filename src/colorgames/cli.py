@@ -22,7 +22,8 @@ from itertools import chain
 from .arena import (ArenaError, ContractError, Edge, FinitePath,
                     FrequencyVector, Goal, ParseError, RawArena, load_arena,
                     load_raw_arena)
-from .games import StrategyBudgetError, decide_winner, graph_decide
+from .games import (DEFAULT_STRATEGY_BUDGET, StrategyBudgetError,
+                    decide_winner, graph_decide)
 from .graphs import LoopSet
 from .reductions import (DimacsError, cnf_to_raw_arena, parse_dimacs,
                          scheduler_arena)
@@ -348,7 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide the two-player game")
     p.add_argument("--arena", required=True)
     add_goal(p)
-    p.add_argument("--max-strategies", type=int, default=1 << 20)
+    p.add_argument("--max-strategies", type=int,
+                   default=DEFAULT_STRATEGY_BUDGET)
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("synth", help="emit a witness schedule and prefix")

@@ -57,31 +57,17 @@ def prune(arena: ColoredArena, strategy: MemorylessStrategy) -> ColoredArena:
     """Keep only the strategy's edge at player-1 nodes, then restrict to
     the part reachable from the initial node."""
     chosen = strategy.as_dict()
-    kept_out: dict[str, list[int]] = {}
-    for nd in arena.nodes:
-        if nd.owner == 1:
-            eid = chosen.get(nd.id)
-            if eid is None:
-                raise ContractError(f"strategy misses player-1 node {nd.id!r}")
-            if arena.edges[eid].src != nd.id:
-                raise ContractError(
-                    f"strategy maps {nd.id!r} to a foreign edge")
-            kept_out[nd.id] = [eid]
-        else:
-            kept_out[nd.id] = arena.out_edge_ids(nd.id)
-    reachable = {arena.initial}
-    frontier = [arena.initial]
-    kept_edges: list[int] = []
-    while frontier:
-        u = frontier.pop()
-        for eid in kept_out[u]:
-            kept_edges.append(eid)
-            dst = arena.edges[eid].dst
-            if dst not in reachable:
-                reachable.add(dst)
-                frontier.append(dst)
-    nodes = [nd for nd in arena.nodes if nd.id in reachable]
-    edges = [arena.edges[eid] for eid in sorted(kept_edges)]
+    table = {nd.id: chosen.get(nd.id) for nd in arena.player_nodes(1)}
+    for node_id, eid in table.items():
+        if eid is None:
+            raise ContractError(f"strategy misses player-1 node {node_id!r}")
+        if arena.edges[eid].src != node_id:
+            raise ContractError(
+                f"strategy maps {node_id!r} to a foreign edge")
+    kept = sorted(graphs._reachable_edge_ids(arena, table))
+    reached = {arena.edges[eid].src for eid in kept}
+    nodes = [nd for nd in arena.nodes if nd.id in reached]
+    edges = [arena.edges[eid] for eid in kept]
     return ColoredArena.derived(arena.k, nodes, arena.initial, edges)
 
 
@@ -89,16 +75,23 @@ def prune(arena: ColoredArena, strategy: MemorylessStrategy) -> ColoredArena:
 class GameResult:
     """Outcome of a solved game.
 
-    ``winner`` is 1 with a witness strategy when some pruned graph lacks
-    a goal path; otherwise 0, justified by determinacy, with the log
-    covering every enumerated strategy.
+    ``winner`` is 1 when some strategy's pruned graph lacks a goal path,
+    with the first such strategy as ``witness``; otherwise 0, justified
+    by determinacy.  ``explored`` counts the strategies tried, the
+    witness included.
     """
 
     winner: int
-    goal: Goal
     witness: MemorylessStrategy | None
     strategies_total: int
-    log: tuple[tuple[int, bool], ...]  # (strategy index, goal path exists)
+    explored: int
+
+    @property
+    def log(self) -> tuple[tuple[int, bool], ...]:
+        """(strategy index, goal path exists) per explored strategy, built
+        on demand: only the last can lack a goal path, iff player 1 won."""
+        return tuple((i, i + 1 < self.explored or self.winner == 0)
+                     for i in range(self.explored))
 
     def to_json_dict(self) -> dict:
         return {
@@ -106,9 +99,7 @@ class GameResult:
             "witness": None if self.witness is None
             else self.witness.as_dict(),
             "strategies_total": self.strategies_total,
-            "explored": len(self.log),
-            "log": [[i, "exists" if ok else "not-exists"]
-                    for i, ok in self.log],
+            "explored": self.explored,
         }
 
 
@@ -128,7 +119,7 @@ def decide_winner(arena: ColoredArena, goal: Goal,
     """Solve the game by trying every memoryless player-1 strategy.
 
     Returns on the first (lexicographically smallest) winning strategy;
-    the per-strategy log is complete only for player-0 answers.
+    nothing is kept per strategy beyond the count ``explored``.
 
     Each strategy's graph is canonicalized on the parent arena and looked
     up in ``cache`` (a dict local to the call when none is given); only
@@ -143,7 +134,6 @@ def decide_winner(arena: ColoredArena, goal: Goal,
     if cache is None:
         cache = {}
     prefix = graphs.decision_key_prefix(rates)
-    log: list[tuple[int, bool]] = []
     for idx, tau in enumerate(enumerate_strategies(arena)):
         # through the graphs module, so that a wrapper installed there
         # sees the canonical form
@@ -151,7 +141,6 @@ def decide_winner(arena: ColoredArena, goal: Goal,
         decision = graphs.cached_decision(
             cache, (*prefix, ckey), arena, order, rates,
             lambda: graph_decide(prune(arena, tau), goal))
-        log.append((idx, decision.exists))
         if not decision.exists:
-            return GameResult(1, goal, tau, total, tuple(log))
-    return GameResult(0, goal, None, total, tuple(log))
+            return GameResult(1, tau, total, idx + 1)
+    return GameResult(0, None, total, total)

@@ -124,13 +124,16 @@ def edge_components(arena: ColoredArena,
     return [groups[ci] for ci in sorted(groups, key=smallest.__getitem__)]
 
 
-def _reachable_edge_ids(arena: ColoredArena) -> list[int]:
-    """Edges whose source is reachable from the initial node, by BFS."""
+def _reachable_edge_ids(arena: ColoredArena,
+                        choice: dict[str, int] | None = None) -> list[int]:
+    """Edges whose source is reachable from the initial node, by BFS; at
+    a node that ``choice`` maps to an edge id, only that edge."""
     seen = {arena.initial}
     queue = [arena.initial]
     out: list[int] = []
     for u in queue:  # the queue grows while it is read: breadth-first
-        for eid in arena.out_edge_ids(u):
+        for eid in ((choice[u],) if choice and u in choice
+                    else arena.out_edge_ids(u)):
             out.append(eid)
             dst = arena.edges[eid].dst
             if dst not in seen:

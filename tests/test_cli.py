@@ -239,6 +239,24 @@ def test_solve_strategy_budget_exceeded(tmp_path, capsys):
     assert "error" in json.loads(capsys.readouterr().out)
 
 
+def test_solve_report_does_not_grow_with_the_strategies(tmp_path, capsys):
+    # two self-loops at the initial node and 12 unreachable player-1
+    # nodes with two edges each: 4096 strategies, all with one graph
+    triples = TWO_LOOPS + [(f"p{i}", c, f"p{i}")
+                           for i in range(12) for c in (1, 2)]
+    arena = build_arena(2, triples,
+                        owners={f"p{i}": 1 for i in range(12)})
+    path = tmp_path / "unreachable.json"
+    path.write_text(arena.to_json())
+    code = main(["solve", "--arena", str(path), "--goal", "balanced"])
+    out = capsys.readouterr().out
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert result["strategies_total"] == result["explored"] == 4096
+    assert "log" not in result
+    assert len(out.encode()) < 2048
+
+
 def test_solve_cnf_single_clause_player1(tmp_path, capsys):
     dimacs = tmp_path / "x.cnf"
     dimacs.write_text("p cnf 1 1\n1 0\n")

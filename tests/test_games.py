@@ -295,4 +295,5 @@ def test_sweep_fills_the_cache_like_the_pruned_arena_loop():
             result = decide_winner(arena, goal, cache=cache)
             expected = reference_decide_winner(arena, goal, reference)
             assert (result.winner, result.witness, result.log) == expected
+            assert result.explored == len(expected[2])
     assert cache == reference

@@ -110,6 +110,8 @@ def test_warm_cache_answers_like_a_cold_one():
                 assert (hot.winner, hot.witness, hot.log) == \
                     (cold.winner, cold.witness, cold.log) == \
                     reference_decide_winner(variant, goal, None)
+                assert hot.explored == cold.explored == \
+                    len(reference_decide_winner(variant, goal, None)[2])
 
 
 # --- one-player deciders --------------------------------------------------------
