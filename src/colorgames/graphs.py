@@ -11,9 +11,10 @@ integers and decomposed into simple loops, which form the verifiable
 witness.
 
 Bounded-difference paths are decided through zero-difference closed
-walks: edges that cannot carry load in any zero-difference circulation
-are pruned until a self-supporting component remains, whose Eulerian
-circuit is the witness walk.
+walks: each group of edges first asks for one zero-difference
+circulation that loads all of its chains, whose Eulerian circuit is the
+witness walk; failing that, edges that cannot carry load in any
+zero-difference circulation are pruned and the survivors regrouped.
 """
 
 from __future__ import annotations
@@ -291,19 +292,42 @@ class _LimitProblem:
         if self.screened:
             return None
         result = solve_feasibility(self.system(cover))
+        return _primitive_loads(result.assignment) if result.feasible else None
+
+    def solve_full_support(self) -> list[int] | None:
+        """Primitive integer macro loads with every chain loaded, or None
+        (without a solve when screened): loads y = u + t*1, u >= 0, and
+        the row t = 1.  Each factored row gains its entry sum as column t,
+        which is the factored form of the extended rows as elimination is
+        linear; t is nonbasic, so the basis stays feasible at zero."""
+        if self.screened:
+            return None
+        n, f = len(self.macros), self.factored
+        start = FactoredRows(n + 1, tuple(
+            Constraint.integral([*con.coeffs, sum(con.coeffs)], "=")
+            for con in f.rows),
+            tuple([*row, sum(row)] for row in f.tableau), f.basis)
+        result = solve_feasibility(LinearSystem(
+            n + 1, [*start.rows, Constraint.integral([0] * n + [1], "=", 1)],
+            nonneg=True, start=start))
         if not result.feasible:
             return None
-        scale = lcm(*(v.denominator for v in result.assignment))
-        loads = [v.numerator * (scale // v.denominator)
-                 for v in result.assignment]
-        g = gcd(*loads)
-        return [v // g for v in loads] if g > 1 else loads
+        *u, t = result.assignment
+        return _primitive_loads([v + t for v in u])
 
     def expand(self, macro_loads: Sequence[int]) -> dict[int, int]:
         """Per-edge loads, each chain edge carrying its macro's load;
         zero loads are left out."""
         return {eid: v for (_, _, chain, _), v in zip(self.macros, macro_loads)
                 if v for eid in chain}
+
+
+def _primitive_loads(assignment: Sequence[Fraction]) -> list[int]:
+    """Scaled by the lcm of the denominators, then divided by the gcd."""
+    scale = lcm(*(v.denominator for v in assignment))
+    loads = [v.numerator * (scale // v.denominator) for v in assignment]
+    g = gcd(*loads)
+    return [v // g for v in loads] if g > 1 else loads
 
 
 # --- circulations, loops, walks ---------------------------------------------
@@ -715,21 +739,27 @@ def _zero_diff_component_walk(arena, edge_ids, zero):
     """Support pruning: an edge survives iff some zero-difference
     circulation over the current edges gives it positive load.
 
-    Per group, each solve carries one cover row over the chains no
-    solution has loaded yet, so a feasible solve loads at least one of
-    them and an infeasible one prunes all of them: at most (surviving
-    chains + 1) solves per group and round.  The surviving set shrinks
-    strictly each round, so at most |E| rounds.  When every chain of a
-    group is loaded, the sum of the round's solutions is a full-support
-    zero-difference circulation and its Eulerian circuit is the walk.
-    The component's edges are strongly connected, so round 1 has one
-    group; later rounds take the survivors' components smallest edge first.
+    Each group first takes one full-support solve.  When it is feasible,
+    its loads load every chain and their Eulerian circuit is the walk:
+    one solve for the group.  Otherwise some chain cannot be loaded, and
+    the cover loop finds the survivors: each solve carries one cover row
+    over the chains no solution has loaded yet, so a feasible solve
+    loads at least one of them and an infeasible one, which must come,
+    prunes all of them.  That is at most (surviving chains + 2) solves
+    per group and round.  The surviving set shrinks strictly each round,
+    so at most |E| rounds.  The component's edges are strongly
+    connected, so round 1 has one group; later rounds take the
+    survivors' components smallest edge first.
     """
     groups = [edge_ids]
     for _ in range(len(edge_ids) + 1):
         kept: list[int] = []
         for group in groups:
             problem = _LimitProblem(arena, group, zero)
+            loads = problem.solve_full_support()
+            if loads is not None:
+                return eulerian_circuit(arena,
+                                        Circulation(problem.expand(loads)))
             uncovered = set(range(len(problem.macros)))
             total = [0] * len(problem.macros)
             while uncovered:
@@ -740,10 +770,7 @@ def _zero_diff_component_walk(arena, edge_ids, zero):
                     if v:
                         total[mi] += v
                         uncovered.discard(mi)
-            survivors = problem.expand(total)
-            if not uncovered:
-                return eulerian_circuit(arena, Circulation(survivors))
-            kept.extend(survivors)
+            kept.extend(problem.expand(total))
         if not kept:
             return None
         groups = sorted(edge_components(arena, kept), key=itemgetter(0))

@@ -881,6 +881,29 @@ def random_pruning_arena(rng: random.Random) -> ColoredArena:
     return ColoredArena(k, nodes, names[0], edges)
 
 
+def random_planted_arena(rng: random.Random) -> ColoredArena:
+    """Strongly connected one-player arena: a ring through every node in
+    random order, a planted cycle that sees every color equally often,
+    and random extra edges, which may or may not carry zero-difference
+    load."""
+    k = rng.choice((2, 3, 4))
+    n = rng.randint(2, 6)
+    names = [f"p{i}" for i in range(n)]
+    order = rng.sample(names, n)
+    triples = [(u, rng.randint(1, k), v)
+               for u, v in zip(order, order[1:] + order[:1])]
+    colors = list(range(1, k + 1)) * rng.randint(1, 2)
+    rng.shuffle(colors)
+    cycle = [rng.choice(names) for _ in colors]
+    triples += [(u, c, cycle[(j + 1) % len(cycle)])
+                for j, (u, c) in enumerate(zip(cycle, colors))]
+    for _ in range(rng.randint(0, 2 * n)):
+        triples.append((rng.choice(names), rng.randint(1, k),
+                        rng.choice(names)))
+    return ColoredArena(k, [Node(nm, 0) for nm in names], names[0],
+                        [Edge(*t) for t in triples])
+
+
 def random_formula(rng: random.Random, max_vars: int = 4,
                    max_clauses: int = 4) -> CnfFormula:
     m = rng.randint(1, max_vars)

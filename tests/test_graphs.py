@@ -19,7 +19,8 @@ from builders import TWO_LOOPS, build_arena
 from oracles import (_strong_groups, component_edge_ids,
                      loop_combination_exists,
                      random_connected_arena,
-                     random_pruning_arena, reference_feasibility,
+                     random_planted_arena, random_pruning_arena,
+                     reference_feasibility,
                      reference_surviving_edges, reference_zero_diff_support)
 
 
@@ -336,9 +337,11 @@ def test_contracted_and_edge_level_systems_agree():
 
 
 def test_cover_row_pruning_matches_forced_edge_reference(monkeypatch):
-    # cover-row pruning reaches the forced-edge fixpoint, walks exactly
-    # that group's edges, and spends at most (survivors + 1) solves per
-    # group and round
+    # support pruning reaches the forced-edge fixpoint and walks exactly
+    # that group's edges.  Per group and round it spends one solve when
+    # every edge survives (the full-support solve), and otherwise at most
+    # (survivors + 2): the failed full-support solve, one feasible cover
+    # solve per surviving edge at most, and the final infeasible one
     from colorgames import graphs
     problems = []  # [edge ids, solves] per group and round
     rounds = []  # rounds per pruned component
@@ -381,7 +384,7 @@ def test_cover_row_pruning_matches_forced_edge_reference(monkeypatch):
                             ("d", 1, "b"), ("b", 1, "a"), ("a", 2, "b")])
     rng = random.Random(83)
     arenas = [fixed] + [random_pruning_arena(rng) for _ in range(150)]
-    exists = multi_round = 0
+    exists = multi_round = full = 0
     for arena in arenas:
         problems.clear()
         rounds.clear()
@@ -397,9 +400,48 @@ def test_cover_row_pruning_matches_forced_edge_reference(monkeypatch):
             assert set(walked) == set(group_edges)
             assert all(walked[e] >= c for e, c in group_edges.items())
         for group, solves in problems:
-            assert solves <= len(reference_surviving_edges(arena, group)) + 1
+            survivors = reference_surviving_edges(arena, group)
+            if len(survivors) == len(group):
+                assert solves == 1
+                full += 1
+            else:
+                assert solves <= len(survivors) + 2
         multi_round += max(rounds, default=0) >= 2
-    assert 30 <= exists <= 140 and multi_round >= 20
+    assert 30 <= exists <= 140 and multi_round >= 20 and full >= 30
+
+
+def test_full_support_solve_matches_surviving_edges_reference():
+    # the full-support solve succeeds exactly on the groups where the
+    # forced-edge reference keeps every edge, and then loads every chain
+    # with a primitive integer vector whose Eulerian circuit has zero
+    # difference; groups are every component of seeded pruning arenas
+    # and planted strongly connected arenas, and every group the
+    # reference's pruning rounds form from them
+    rng = random.Random(89)
+    arenas = ([random_pruning_arena(rng) for _ in range(60)]
+              + [random_planted_arena(rng) for _ in range(60)])
+    outcomes = Counter()
+    for arena in arenas:
+        zero = FrequencyVector.uniform(arena.k)
+        pending = component_edge_ids(arena)
+        while pending:
+            group = pending.pop()
+            survivors = reference_surviving_edges(arena, group)
+            problem = graphs._LimitProblem(arena, group, zero)
+            loads = problem.solve_full_support()
+            if len(survivors) < len(group):
+                assert loads is None
+                outcomes["pruned"] += 1
+                pending.extend(_strong_groups(arena, survivors))
+                continue
+            assert len(loads) == len(problem.macros)
+            assert min(loads) >= 1 and gcd(*loads) == 1
+            edge_loads = problem.expand(loads)
+            assert sorted(edge_loads) == sorted(group)
+            walk = eulerian_circuit(arena, Circulation(edge_loads))
+            assert is_zero_diff_cycle(walk, arena.k)
+            outcomes["full"] += 1
+    assert outcomes["full"] >= 40 and outcomes["pruned"] >= 40
 
 
 def test_cache_with_parallel_identical_edges():
@@ -489,6 +531,7 @@ def test_rate_screen_fires_only_on_infeasible_programs(monkeypatch):
     for problem in screened:
         assert problem.solve() is None
         assert problem.solve(cover={0}) is None
+        assert problem.solve_full_support() is None
         system = build_color_limit_system(problem.arena, problem.edge_ids,
                                           problem.rates)
         assert not reference_feasibility(system).feasible

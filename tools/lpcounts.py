@@ -8,7 +8,10 @@ Runs one pass of a perfbench workload against the library under
 many started from a factored basis), phase-1 pivots, factorization
 pivots, solves the rate screen skipped, Tarjan runs (``graphs._tarjan``),
 the final synth-stream deviation of every request, and the best of
-``--repeats`` in-process pass times.
+``--repeats`` in-process pass times.  Of the solves, it also counts the
+bounded goal's cover solves and full-support solves, and how many
+full-support solves were feasible; a checkout without
+``_LimitProblem.solve_full_support`` reports zero full-support solves.
 """
 
 from __future__ import annotations
@@ -47,7 +50,9 @@ def main() -> int:
 
     best = min(_timed(one_pass) for _ in range(args.repeats))
     counts = dict.fromkeys(("solves", "warm_solves", "phase1_pivots",
-                            "factor_pivots", "screened", "tarjan_runs"), 0)
+                            "factor_pivots", "screened", "tarjan_runs",
+                            "cover_solves", "full_support_solves",
+                            "full_support_feasible"), 0)
     graphs, lp = lib.graphs, lib.lp
     state = {"factoring": False}
     solve, pivot = graphs.solve_feasibility, lp._pivot
@@ -82,10 +87,26 @@ def main() -> int:
         graphs.factor_rows = counted_factor
     problem_cls = graphs._LimitProblem
 
+    def solves_in(key, call):
+        before = counts["solves"]
+        result = call()
+        counts[key] += counts["solves"] - before
+        return result
+
     class Counted(problem_cls):
         def solve(self, cover=None):
             counts["screened"] += bool(getattr(self, "screened", False))
-            return super().solve(cover)
+            if cover is None:
+                return super().solve()
+            return solves_in("cover_solves",
+                             lambda: problem_cls.solve(self, cover))
+
+        if hasattr(problem_cls, "solve_full_support"):
+            def solve_full_support(self):
+                loads = solves_in("full_support_solves",
+                                  super().solve_full_support)
+                counts["full_support_feasible"] += loads is not None
+                return loads
     graphs._LimitProblem = Counted
     outcomes = one_pass()
     deviations = [str(o.profile[-1][1]) for o in outcomes
