@@ -2,11 +2,10 @@
 fixed-frequency infinite paths, their two-player game versions, witness
 synthesis, and the CNF / scheduler fixture generators."""
 
-from .arena import (ArenaError, ColoredArena, ContractError, DiffMatrix,
-                    Edge, FinitePath, FrequencyVector, Goal, Node, ParseError,
+from .arena import (ArenaError, ColoredArena, ContractError, Edge,
+                    FinitePath, FrequencyVector, Goal, Node, ParseError,
                     RawArena, ValidationError, color_counts, desugar_uncolored,
-                    diff_matrix, load_arena, load_raw_arena,
-                    prefix_frequencies, serialize_arena)
+                    load_arena, load_raw_arena, serialize_arena)
 from .games import (GameResult, MemorylessStrategy, StrategyBudgetError,
                     count_strategies, decide_winner, enumerate_strategies,
                     graph_decide, prune)

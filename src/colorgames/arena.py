@@ -1,5 +1,5 @@
-"""Colored arenas: the node/edge data model, validation, desugaring and
-prefix color statistics.
+"""Colored arenas (index tables, validation, desugaring), finite paths,
+target rates and goals.
 
 An arena is a finite directed multigraph whose edges carry colors from
 1..k, every node belongs to exactly one of two players, and every node
@@ -7,6 +7,11 @@ has at least one outgoing edge.  Files may additionally mark edges as
 uncolored (``"color": null``); loading replaces each such edge by a chain
 of k freshly colored edges so that all downstream algorithms only ever
 see fully colored arenas.
+
+Index tables are an arena's primary form: loading parses the file
+straight into them, validates them once and expands chains on them.
+The ``Node`` and ``Edge`` records are built from the tables on first
+use.  The record constructors take the same checks.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 # Input limits.  Work and memory grow with k (k x k rate matrices, one
@@ -78,28 +83,47 @@ _SET_SRC, _SET_COLOR, _SET_DST = (Edge.src.__set__, Edge.color.__set__,
 
 
 class _ArenaBase:
-    """Structure and index tables, built at construction, of raw and
-    colored arenas: ``node_index`` maps ids to positions in ``nodes``,
-    ``out_ids[i]`` lists node i's outgoing edge ids in ascending order,
-    ``edge_dst``/``edge_color`` give each edge's target index and color."""
+    """Raw and colored arenas, held as index tables: per node
+    ``node_ids`` and ``owners``, ``node_index`` from ids to node
+    positions, per edge ``edge_src`` and ``edge_dst`` (node positions)
+    and ``edge_color``, and ``out_ids[i]``, node i's outgoing edge ids
+    in ascending order.  The tables are never changed.
+    The records ``nodes`` and ``edges`` are built from them on first
+    access; building them twice gives equal tuples, so threads sharing
+    an arena stay safe."""
 
-    def __init__(self, k: int, nodes: Sequence[Node], initial: str,
-                 edges: Sequence[Edge], node_index: dict[str, int]):
-        self.k = k
-        self.nodes = tuple(nodes)
-        self.initial = initial
-        self.edges = tuple(edges)
-        self.node_index = node_index
-        self.out_ids: list[list[int]] = [[] for _ in self.nodes]
-        for eid, e in enumerate(self.edges):
-            self.out_ids[node_index[e.src]].append(eid)
-        self.edge_dst = [node_index[e.dst] for e in self.edges]
-        self.edge_color = [e.color for e in self.edges]
+    def __init__(self, k, nodes, initial, edges):
+        """Split the records into the loader's fields and check those."""
+        nodes, edges = tuple(nodes), tuple(edges)
+        _fill(self, *_checked_tables(
+            k, [nd.id for nd in nodes], [nd.owner for nd in nodes], initial,
+            [e.src for e in edges], [e.color for e in edges],
+            [e.dst for e in edges], isinstance(self, RawArena)))
+        self.nodes, self.edges = nodes, edges
+
+    @classmethod
+    def from_tables(cls, k, node_ids, owners, initial, node_index, edge_src,
+                    edge_color, edge_dst):
+        """An arena that takes over checked tables without validating
+        them again: those of a loaded file, or of a construction that
+        keeps every invariant, such as pruning to a reachable part."""
+        return _fill(cls.__new__(cls), k, node_ids, owners, initial,
+                     node_index, edge_src, edge_color, edge_dst)
+
+    @cached_property
+    def nodes(self) -> tuple[Node, ...]:
+        return tuple(map(Node, self.node_ids, self.owners))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        ids = self.node_ids.__getitem__
+        return tuple(map(Edge, map(ids, self.edge_src), self.edge_color,
+                         map(ids, self.edge_dst)))
 
     # --- queries -------------------------------------------------------
 
     def owner_of(self, node_id: str) -> int:
-        return self.nodes[self.node_index[node_id]].owner
+        return self.owners[self.node_index[node_id]]
 
     def out_edge_ids(self, node_id: str) -> list[int]:
         return self.out_ids[self.node_index[node_id]]
@@ -107,70 +131,89 @@ class _ArenaBase:
     def player_nodes(self, owner: int) -> list[Node]:
         return [nd for nd in self.nodes if nd.owner == owner]
 
+    def _tables(self) -> tuple:
+        return (self.k, self.node_ids, self.owners, self.initial,
+                self.edge_src, self.edge_color, self.edge_dst)
+
     def __eq__(self, other) -> bool:
-        return (type(self) is type(other) and self.k == other.k
-                and self.nodes == other.nodes and self.initial == other.initial
-                and self.edges == other.edges)
+        return type(self) is type(other) and self._tables() == other._tables()
 
     def __hash__(self):  # structural identity is what matters for tests
-        return hash((self.k, self.nodes, self.initial, self.edges))
+        return hash((self.k, tuple(self.node_ids), self.initial,
+                     tuple(self.edge_color)))
 
     def to_json_dict(self) -> dict:
+        ids = self.node_ids
         return {
             "k": self.k,
-            "nodes": [{"id": nd.id, "owner": nd.owner} for nd in self.nodes],
+            "nodes": [{"id": i, "owner": o}
+                      for i, o in zip(ids, self.owners)],
             "initial": self.initial,
-            "edges": [{"src": e.src, "color": e.color, "dst": e.dst}
-                      for e in self.edges],
+            "edges": [{"src": ids[s], "color": c, "dst": ids[d]}
+                      for s, c, d in zip(self.edge_src, self.edge_color,
+                                         self.edge_dst)],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _checked_index(k, nodes, initial, edges,
-                   allow_uncolored: bool) -> dict[str, int]:
-    """Check an arena's invariants in a fixed order; return its index."""
+def _fill(arena, k, node_ids, owners, initial, node_index, edge_src,
+          edge_color, edge_dst):
+    """Set an arena's tables from checked fields and return it."""
+    arena.k, arena.initial = k, initial
+    arena.node_ids, arena.owners, arena.node_index = (node_ids, owners,
+                                                      node_index)
+    arena.edge_src, arena.edge_color, arena.edge_dst = (edge_src, edge_color,
+                                                        edge_dst)
+    arena.out_ids = out_ids = [[] for _ in node_ids]
+    for eid, s in enumerate(edge_src):
+        out_ids[s].append(eid)
+    return arena
+
+
+def _checked_tables(k, node_ids, owners, initial, srcs, colors, dsts,
+                    allow_uncolored: bool) -> tuple:
+    """Check an arena's fields in a fixed order; return its tables in
+    the order ``from_tables`` takes them."""
     if k < 1:
         raise ValidationError(f"color count k must be >= 1, got {k}")
     if k > MAX_COLORS:
         raise ValidationError(
             f"color count k = {k} exceeds the limit {MAX_COLORS}")
     index: dict[str, int] = {}
-    for i, nd in enumerate(nodes):
-        if nd.id in index:
-            raise ValidationError(f"duplicate node id {nd.id!r}")
-        index[nd.id] = i
-        if nd.owner not in (0, 1):
+    for i, (node, owner) in enumerate(zip(node_ids, owners)):
+        if node in index:
+            raise ValidationError(f"duplicate node id {node!r}")
+        index[node] = i
+        if owner not in (0, 1):
             raise ValidationError(
-                f"node {nd.id!r} has owner {nd.owner!r}, expected 0 or 1")
+                f"node {node!r} has owner {owner!r}, expected 0 or 1")
     if initial not in index:
         raise ValidationError(f"initial node {initial!r} does not exist")
-    for eid, e in enumerate(edges):
-        if e.src not in index:
-            raise ValidationError(f"edge {eid} has unknown source {e.src!r}")
-        if e.dst not in index:
-            raise ValidationError(f"edge {eid} has unknown target {e.dst!r}")
-        if e.color is None:
+    edge_src, edge_dst = list(map(index.get, srcs)), list(map(index.get, dsts))
+    for eid, (s, c, d) in enumerate(zip(edge_src, colors, edge_dst)):
+        if s is None:
+            raise ValidationError(
+                f"edge {eid} has unknown source {srcs[eid]!r}")
+        if d is None:
+            raise ValidationError(
+                f"edge {eid} has unknown target {dsts[eid]!r}")
+        if c is None:
             if not allow_uncolored:
                 raise ValidationError(f"edge {eid} is uncolored")
-        elif not 1 <= e.color <= k:
+        elif not 1 <= c <= k:
             raise ValidationError(
-                f"edge {eid} has color {e.color}, outside 1..{k}")
-    sources = {e.src for e in edges}
-    for nd in nodes:
-        if nd.id not in sources:
-            raise ValidationError(f"node {nd.id!r} has no outgoing edge")
-    return index
+                f"edge {eid} has color {c}, outside 1..{k}")
+    idle = set(range(len(node_ids))).difference(edge_src)
+    if idle:
+        raise ValidationError(
+            f"node {node_ids[min(idle)]!r} has no outgoing edge")
+    return k, node_ids, owners, initial, index, edge_src, colors, edge_dst
 
 
 class RawArena(_ArenaBase):
     """An arena as written in a file, possibly with uncolored edges."""
-
-    def __init__(self, k, nodes, initial, edges):
-        nodes, edges = tuple(nodes), tuple(edges)
-        super().__init__(k, nodes, initial, edges,
-                         _checked_index(k, nodes, initial, edges, True))
 
     def desugar(self) -> "ColoredArena":
         return desugar_uncolored(self)
@@ -178,21 +221,6 @@ class RawArena(_ArenaBase):
 
 class ColoredArena(_ArenaBase):
     """A validated arena where every edge carries a color in 1..k."""
-
-    def __init__(self, k, nodes, initial, edges):
-        nodes, edges = tuple(nodes), tuple(edges)
-        super().__init__(k, nodes, initial, edges,
-                         _checked_index(k, nodes, initial, edges, False))
-
-    @classmethod
-    def derived(cls, k, nodes, initial, edges) -> "ColoredArena":
-        """An arena built from a validated one by a construction that keeps
-        every invariant (such as pruning to a reachable part), so it is
-        not validated again."""
-        arena = cls.__new__(cls)
-        _ArenaBase.__init__(arena, k, nodes, initial, edges,
-                            {nd.id: i for i, nd in enumerate(nodes)})
-        return arena
 
 
 def desugar_uncolored(raw: RawArena) -> ColoredArena:
@@ -206,42 +234,64 @@ def desugar_uncolored(raw: RawArena) -> ColoredArena:
     (fresh ids are unique, each chain node has its one outgoing edge,
     chain colors lie in 1..k), so the result is not validated again.
     """
-    return _expand(raw.k, raw.nodes, raw.initial, raw.edges,
-                   dict(raw.node_index))
+    return _expanded(raw.k, list(raw.node_ids), list(raw.owners),
+                     raw.initial, dict(raw.node_index), raw.edge_src,
+                     raw.edge_color, raw.edge_dst)
 
 
-def _expand(k, nodes, initial, edges, index: dict) -> ColoredArena:
-    """``desugar_uncolored`` on validated fields and their node index."""
-    fresh_nodes = (k - 1) * sum(e.color is None for e in edges)
-    if fresh_nodes > MAX_CHAIN_NODES:
+def _expanded(k, node_ids, owners, initial, index, edge_src, colors,
+              edge_dst) -> ColoredArena:
+    """``desugar_uncolored`` on checked tables, which it extends in
+    place: the chain nodes follow the file's nodes, chain by chain."""
+    uncolored = [eid for eid, c in enumerate(colors) if c is None]
+    if (k - 1) * len(uncolored) > MAX_CHAIN_NODES:
         raise ValidationError(
-            f"expanding the uncolored edges needs {fresh_nodes} chain nodes, "
-            f"more than the limit {MAX_CHAIN_NODES}")
-    nodes = list(nodes)
-    colored: list[Edge] = []
-    for eid, e in enumerate(edges):
-        if e.color is not None:
-            colored.append(e)
-            continue
-        prev = e.src
-        for step in range(1, k):
-            fresh = f"@{eid}.{step}"
-            while fresh in index:
-                fresh = "_" + fresh
-            index[fresh] = len(nodes)
-            nodes.append(Node(fresh, 0))
-            colored.append(Edge(prev, step, fresh))
-            prev = fresh
-        colored.append(Edge(prev, k, e.dst))
-    arena = ColoredArena.__new__(ColoredArena)
-    _ArenaBase.__init__(arena, k, nodes, initial, colored, index)
-    return arena
+            f"expanding the uncolored edges needs {(k - 1) * len(uncolored)} "
+            f"chain nodes, more than the limit {MAX_CHAIN_NODES}")
+    if uncolored:
+        node = len(node_ids)
+        fresh = _chain_ids(uncolored, k, index)
+        index.update(zip(fresh, range(node, node + len(fresh))))
+        node_ids += fresh
+        owners += [0] * len(fresh)
+        src, color, dst = [], [], []
+        steps = range(1, k + 1)
+        for eid, c in enumerate(colors):
+            if c is not None:
+                src.append(edge_src[eid])
+                color.append(c)
+                dst.append(edge_dst[eid])
+                continue
+            chain = range(node, node + k - 1)
+            node += k - 1
+            src.append(edge_src[eid])
+            src += chain
+            color += steps
+            dst += chain
+            dst.append(edge_dst[eid])
+        edge_src, colors, edge_dst = src, color, dst
+    return ColoredArena.from_tables(k, node_ids, owners, initial, index,
+                                    edge_src, colors, edge_dst)
+
+
+def _chain_ids(uncolored: list[int], k: int, index: dict) -> list[str]:
+    """Fresh ids of the chain nodes, ``@eid.step`` for each uncolored
+    edge eid and step 1..k-1, each prefixed with ``_`` while a node of
+    the file has it.  Distinct (eid, step) give distinct ids."""
+    fresh = [f"@{eid}.{step}" for eid in uncolored for step in range(1, k)]
+    if not index.keys().isdisjoint(fresh):
+        for i, name in enumerate(fresh):
+            while name in index:
+                name = "_" + name
+            fresh[i] = name
+    return fresh
 
 
 def _parsed_fields(text: str) -> tuple:
-    """k, nodes, initial node and edges as the text gives them.  Only
-    JSON integers, not booleans, are read as k, owners and colors, and
-    only JSON strings as node ids."""
+    """k, node ids, owners, initial node, and per edge its source id,
+    color and target id, as the text gives them.  Only JSON integers,
+    not booleans, are read as k, owners and colors, and only JSON
+    strings as node ids."""
     try:
         data = json.loads(text)
     except ValueError as exc:  # JSONDecodeError or an over-long integer
@@ -251,22 +301,21 @@ def _parsed_fields(text: str) -> tuple:
     for field in ("k", "nodes", "initial", "edges"):
         if field not in data:
             raise ParseError(f"missing field {field!r}")
+    node_ids, owners, srcs, colors, dsts = [], [], [], [], []
     try:
         k = _typed(data["k"], int, "k")
-        nodes = [Node(_typed(n["id"], str, "id"),
-                      _typed(n["owner"], int, "owner"))
-                 for n in data["nodes"]]
+        for n in data["nodes"]:
+            node_ids.append(_typed(n["id"], str, "id"))
+            owners.append(_typed(n["owner"], int, "owner"))
         initial = _typed(data["initial"], str, "initial")
-        edges = [
-            Edge(_typed(e["src"], str, "src"),
-                 None if e["color"] is None
-                 else _typed(e["color"], int, "color"),
-                 _typed(e["dst"], str, "dst"))
-            for e in data["edges"]
-        ]
+        for e in data["edges"]:
+            srcs.append(_typed(e["src"], str, "src"))
+            c = e["color"]
+            colors.append(c if c is None else _typed(c, int, "color"))
+            dsts.append(_typed(e["dst"], str, "dst"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed arena object: {exc}") from exc
-    return k, nodes, initial, edges
+    return k, node_ids, owners, initial, srcs, colors, dsts
 
 
 def _typed(value, kind: type, field: str):
@@ -279,13 +328,15 @@ def _typed(value, kind: type, field: str):
 def load_raw_arena(text: str) -> RawArena:
     """Parse and validate an arena file without expanding uncolored
     edges."""
-    return RawArena(*_parsed_fields(text))
+    return RawArena.from_tables(*_checked_tables(*_parsed_fields(text),
+                                                 allow_uncolored=True))
 
 
 def load_arena(text: str) -> ColoredArena:
-    """Parse, validate once and desugar an arena file, in one pass."""
-    fields = _parsed_fields(text)
-    return _expand(*fields, _checked_index(*fields, allow_uncolored=True))
+    """Parse, validate once and desugar an arena file, in one pass over
+    index tables; no node or edge record is built."""
+    return _expanded(*_checked_tables(*_parsed_fields(text),
+                                      allow_uncolored=True))
 
 
 def serialize_arena(arena: ColoredArena) -> str:
@@ -303,81 +354,6 @@ def color_counts(word: Iterable[int], k: int) -> list[int]:
             raise ContractError(f"color {c} outside 1..{k}")
         counts[c - 1] += 1
     return counts
-
-
-class DiffMatrix:
-    """k x k integer matrix of pairwise color-count differences.
-
-    Entry (a, b) is the number of occurrences of color a minus the number
-    of occurrences of color b; the matrix is antisymmetric with zero
-    diagonal and entry(a,b) + entry(b,c) = entry(a,c).
-    """
-
-    __slots__ = ("k", "rows")
-
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        self.rows = tuple(tuple(r) for r in rows)
-        self.k = len(self.rows)
-        for r in self.rows:
-            if len(r) != self.k:
-                raise ContractError("diff matrix must be square")
-        ref = [self.rows[a][self.k - 1] for a in range(self.k)]
-        for a in range(self.k):
-            for b in range(self.k):
-                if self.rows[a][b] != ref[a] - ref[b]:
-                    raise ContractError(
-                        "matrix is not a pairwise-difference matrix")
-
-    @classmethod
-    def from_counts(cls, counts: Sequence[int]) -> "DiffMatrix":
-        return cls([[ca - cb for cb in counts] for ca in counts])
-
-    @classmethod
-    def zero(cls, k: int) -> "DiffMatrix":
-        return cls([[0] * k for _ in range(k)])
-
-    def entry(self, a: int, b: int) -> int:
-        """1-based access, matching color names."""
-        return self.rows[a - 1][b - 1]
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.rows for v in row)
-
-    def __add__(self, other: "DiffMatrix") -> "DiffMatrix":
-        if self.k != other.k:
-            raise ContractError("size mismatch")
-        return DiffMatrix([[x + y for x, y in zip(ra, rb)]
-                           for ra, rb in zip(self.rows, other.rows)])
-
-    def scaled(self, c: int) -> "DiffMatrix":
-        return DiffMatrix([[c * v for v in row] for row in self.rows])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DiffMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"DiffMatrix({[list(r) for r in self.rows]})"
-
-
-def diff_matrix(word, k: int) -> DiffMatrix:
-    """Color difference matrix of a finite color word or path."""
-    if isinstance(word, FinitePath):
-        word = word.colors()
-    return DiffMatrix.from_counts(color_counts(word, k))
-
-
-def prefix_frequencies(word, k: int) -> tuple[Fraction, ...]:
-    """Exact per-color frequencies of a nonempty finite prefix."""
-    if isinstance(word, FinitePath):
-        word = word.colors()
-    counts = color_counts(word, k)
-    n = sum(counts)
-    if n == 0:
-        raise ContractError("prefix frequencies are undefined on length 0")
-    return tuple(Fraction(c, n) for c in counts)
 
 
 class FinitePath:

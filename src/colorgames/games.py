@@ -39,36 +39,47 @@ class MemorylessStrategy:
 
 
 def count_strategies(arena: ColoredArena | RawArena) -> int:
-    return prod(len(arena.out_edge_ids(nd.id))
-                for nd in arena.player_nodes(1))
+    return prod(len(out) for out, owner in zip(arena.out_ids, arena.owners)
+                if owner == 1)
 
 
 def enumerate_strategies(
         arena: ColoredArena | RawArena) -> Iterator[MemorylessStrategy]:
     """All choice tables in lexicographic (node index, edge index) order;
     exactly one empty strategy when player 1 owns no node."""
-    nodes = [nd.id for nd in arena.player_nodes(1)]
-    pools = [sorted(arena.out_edge_ids(nd)) for nd in nodes]
-    for combo in itertools.product(*pools):
+    players = [i for i, owner in enumerate(arena.owners) if owner == 1]
+    nodes = [arena.node_ids[i] for i in players]
+    for combo in itertools.product(*map(arena.out_ids.__getitem__, players)):
         yield MemorylessStrategy(tuple(zip(nodes, combo)))
 
 
 def prune(arena: ColoredArena, strategy: MemorylessStrategy) -> ColoredArena:
     """Keep only the strategy's edge at player-1 nodes, then restrict to
-    the part reachable from the initial node."""
+    the part reachable from the initial node; built on the index tables,
+    nodes and edges in parent order."""
     chosen = strategy.as_dict()
-    table = {nd.id: chosen.get(nd.id) for nd in arena.player_nodes(1)}
-    for node_id, eid in table.items():
-        if eid is None:
-            raise ContractError(f"strategy misses player-1 node {node_id!r}")
-        if arena.edges[eid].src != node_id:
-            raise ContractError(
-                f"strategy maps {node_id!r} to a foreign edge")
+    table = {}
+    for i, owner in enumerate(arena.owners):
+        if owner == 1:
+            node_id = arena.node_ids[i]
+            eid = table[i] = chosen.get(node_id)
+            if eid is None:
+                raise ContractError(
+                    f"strategy misses player-1 node {node_id!r}")
+            if arena.edge_src[eid] != i:
+                raise ContractError(
+                    f"strategy maps {node_id!r} to a foreign edge")
     kept = sorted(graphs._reachable_edge_ids(arena, table))
-    reached = {arena.edges[eid].src for eid in kept}
-    nodes = [nd for nd in arena.nodes if nd.id in reached]
-    edges = [arena.edges[eid] for eid in kept]
-    return ColoredArena.derived(arena.k, nodes, arena.initial, edges)
+    src, dst = arena.edge_src, arena.edge_dst
+    nodes = sorted({src[eid] for eid in kept})
+    pos = {v: i for i, v in enumerate(nodes)}
+    node_ids = [arena.node_ids[v] for v in nodes]
+    return ColoredArena.from_tables(
+        arena.k, node_ids, [arena.owners[v] for v in nodes], arena.initial,
+        dict(zip(node_ids, range(len(nodes)))),
+        [pos[src[eid]] for eid in kept],
+        [arena.edge_color[eid] for eid in kept],
+        [pos[dst[eid]] for eid in kept])
 
 
 @dataclass(frozen=True)
@@ -140,7 +151,7 @@ def decide_winner(arena: ColoredArena, goal: Goal,
         ckey, order = graphs.reachable_canonical_form(arena, tau.as_dict())
         decision = graphs.cached_decision(
             cache, (*prefix, ckey), arena, order, rates,
-            lambda: graph_decide(prune(arena, tau), goal))
+            lambda: graph_decide(prune(arena, tau), goal), witness=False)
         if not decision.exists:
             return GameResult(1, tau, total, idx + 1)
     return GameResult(0, None, total, total)

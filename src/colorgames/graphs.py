@@ -104,12 +104,10 @@ def edge_components(arena: ColoredArena,
     of the subgraph the given edges span that has an internal edge;
     groups ordered by the component's smallest node index."""
     edge_ids = sorted(edge_ids)
-    index = arena.node_index
-    edges = arena.edges
-    succ: list[list[int]] = [[] for _ in arena.nodes]
+    src, dst = arena.edge_src, arena.edge_dst
+    succ: list[list[int]] = [[] for _ in arena.node_ids]
     for eid in edge_ids:
-        e = edges[eid]
-        succ[index[e.src]].append(index[e.dst])
+        succ[src[eid]].append(dst[eid])
     comp_of = [0] * len(succ)
     smallest = []
     for ci, comp in enumerate(_tarjan(len(succ), succ)):
@@ -118,28 +116,27 @@ def edge_components(arena: ColoredArena,
             comp_of[v] = ci
     groups: dict[int, list[int]] = {}
     for eid in edge_ids:
-        e = edges[eid]
-        ci = comp_of[index[e.src]]
-        if comp_of[index[e.dst]] == ci:
+        ci = comp_of[src[eid]]
+        if comp_of[dst[eid]] == ci:
             groups.setdefault(ci, []).append(eid)
     return [groups[ci] for ci in sorted(groups, key=smallest.__getitem__)]
 
 
 def _reachable_edge_ids(arena: ColoredArena,
-                        choice: dict[str, int] | None = None) -> list[int]:
+                        choice: dict[int, int] | None = None) -> list[int]:
     """Edges whose source is reachable from the initial node, by BFS; at
-    a node that ``choice`` maps to an edge id, only that edge."""
-    seen = {arena.initial}
-    queue = [arena.initial]
+    a node position that ``choice`` maps to an edge id, only that edge."""
+    queue = [arena.node_index[arena.initial]]
+    seen = set(queue)
+    out_ids, dst_of = arena.out_ids, arena.edge_dst
     out: list[int] = []
     for u in queue:  # the queue grows while it is read: breadth-first
-        for eid in ((choice[u],) if choice and u in choice
-                    else arena.out_edge_ids(u)):
+        for eid in ((choice[u],) if choice and u in choice else out_ids[u]):
             out.append(eid)
-            dst = arena.edges[eid].dst
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
+            v = dst_of[eid]
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
     return out
 
 
@@ -215,37 +212,34 @@ class _LimitProblem:
         self.edge_ids = sorted(edge_ids)
         self.rates = rates
         k = arena.k
-        indeg: dict[str, int] = {}
-        outdeg: dict[str, int] = {}
-        out_by: dict[str, list[int]] = {}
-        nodes: set[str] = set()
+        src, dst, color = arena.edge_src, arena.edge_dst, arena.edge_color
+        indeg: dict[int, int] = {}
+        outdeg: dict[int, int] = {}
+        out_by: dict[int, list[int]] = {}
         for eid in self.edge_ids:
-            e = arena.edges[eid]
-            nodes.add(e.src)
-            nodes.add(e.dst)
-            outdeg[e.src] = outdeg.get(e.src, 0) + 1
-            indeg[e.dst] = indeg.get(e.dst, 0) + 1
-            out_by.setdefault(e.src, []).append(eid)
+            u, v = src[eid], dst[eid]
+            outdeg[u] = outdeg.get(u, 0) + 1
+            indeg[v] = indeg.get(v, 0) + 1
+            out_by.setdefault(u, []).append(eid)
+        nodes = outdeg.keys() | indeg.keys()
         retained = {v for v in nodes
-                    if indeg.get(v, 0) != 1 or outdeg.get(v, 0) != 1}
-        if not retained:
-            retained = {min(nodes, key=lambda v: arena.node_index[v])}
-        self.retained = sorted(retained, key=lambda v: arena.node_index[v])
-        self.macros: list[tuple[str, str, tuple[int, ...], tuple[int, ...]]] = []
+                    if indeg.get(v, 0) != 1 or outdeg.get(v, 0) != 1
+                    } or {min(nodes)}
+        self.retained = sorted(retained)  # node positions, in index order
+        self.macros: list[tuple[int, int, tuple, tuple]] = []
         for eid in self.edge_ids:
-            e = arena.edges[eid]
-            if e.src not in retained:
+            if src[eid] not in retained:
                 continue
             chain = [eid]
-            v = e.dst
+            v = dst[eid]
             while v not in retained:
                 nxt = out_by[v][0]
                 chain.append(nxt)
-                v = arena.edges[nxt].dst
+                v = dst[nxt]
             counts = [0] * k
             for ce in chain:
-                counts[arena.edges[ce].color - 1] += 1
-            self.macros.append((e.src, v, tuple(chain), tuple(counts)))
+                counts[color[ce] - 1] += 1
+            self.macros.append((src[eid], v, tuple(chain), tuple(counts)))
         self.rate_rows = [[rates.den * counts[a] - p * len(chain)
                            for _, _, chain, counts in self.macros]
                           for a, p in enumerate(rates.nums)]
@@ -399,7 +393,7 @@ def decompose_circulation(arena: ColoredArena, circ: Circulation) -> LoopSet:
     # conserved flow lies on cycles, so every support edge is internal
     # to a component of the arena
     group_of = {eid: gi for gi, group in enumerate(
-        edge_components(arena, range(len(arena.edges)))) for eid in group}
+        edge_components(arena, range(len(arena.edge_src)))) for eid in group}
     if len({group_of[eid] for eid in circ.loads}) > 1:
         raise ContractError("circulation support spans several strongly "
                             "connected components")
@@ -550,22 +544,22 @@ def reachable_canonical_form(arena: ColoredArena,
     the same edges by their ids in ``arena``: pruning keeps edges in
     parent order, so every tie-break by edge index agrees.
     """
-    nodes, out_ids = arena.nodes, arena.out_ids
-    dst_of, color_of = arena.edge_dst, arena.edge_color
+    node_ids, out_ids = arena.node_ids, arena.out_ids
+    src_of, dst_of, color_of = arena.edge_src, arena.edge_dst, arena.edge_color
     queue = [arena.node_index[arena.initial]]
-    label = [-1] * len(nodes)
+    label = [-1] * len(node_ids)
     label[queue[0]] = 0
     rows: list[tuple[int, int, int, int]] = []
     for u in queue:  # the queue grows while it is read: breadth-first
         src = label[u]
-        eid = choice.get(nodes[u].id) if choice else None
+        eid = choice.get(node_ids[u]) if choice else None
         if eid is None:
             outs = out_ids[u]
             if len(outs) > 1:  # stable: color, then edge index
                 outs = sorted(outs, key=color_of.__getitem__)
-        elif arena.edges[eid].src != nodes[u].id:
+        elif src_of[eid] != u:
             raise ContractError(
-                f"choice maps {nodes[u].id!r} to a foreign edge")
+                f"choice maps {node_ids[u]!r} to a foreign edge")
         else:
             outs = (eid,)
         for i in outs:
@@ -586,19 +580,6 @@ _TRIPLE = itemgetter(0, 1, 2)
 _EDGE_ID = itemgetter(3)
 
 
-def _edge_position_by_value(arena, order):
-    """Map an edge value to its first position in the canonical order.
-
-    Parallel edges with equal (src, color, dst) are interchangeable in
-    every decision and witness property, so collapsing them is sound.
-    """
-    pos: dict[tuple, int] = {}
-    for i, eid in enumerate(order):
-        e = arena.edges[eid]
-        pos.setdefault((e.src, e.color, e.dst), i)
-    return pos
-
-
 def decision_key_prefix(rates: FrequencyVector | None) -> tuple:
     """Cache-key head for a goal's target rates, ``None`` standing for
     the bounded goal; the canonical form completes the key."""
@@ -606,22 +587,69 @@ def decision_key_prefix(rates: FrequencyVector | None) -> tuple:
 
 
 def cached_decision(cache: dict, key: tuple, arena: ColoredArena, order,
-                    rates: FrequencyVector | None, compute) -> GraphDecision:
+                    rates: FrequencyVector | None, compute,
+                    witness: bool = True) -> GraphDecision:
     """The decision stored under ``key``, or ``compute()`` stored there.
 
     ``order`` is the canonical edge order of the graph decided, by edge
     ids in ``arena``.  A hit is restored onto those edges and re-checked
-    exactly; a miss stores the computed witness by canonical positions.
-    ``rates`` is the goal's target rates, ``None`` for the bounded goal.
+    exactly on the arena's index tables; its witness records are built
+    from the checked edge ids only when ``witness`` is set, and without
+    it the hit carries the verdict alone.  A miss stores the computed
+    witness by canonical positions.  ``rates`` is the goal's target
+    rates, ``None`` for the bounded goal.
     """
     stored = cache.get(key)
-    if stored is not None:
-        if rates is None:
-            return _restore_bounded_decision(arena, order, stored)
-        return _restore_limit_decision(arena, order, stored, rates)
-    decision = compute()
-    cache[key] = _store_decision(arena, order, decision)
-    return decision
+    if stored is None:
+        decision = compute()
+        cache[key] = _store_decision(arena, order, decision)
+        return decision
+    found = _checked_hit(arena, order, stored, rates)
+    if found is None or not witness:
+        return GraphDecision(found is not None)
+    edges = arena.edges
+    if rates is None:
+        return GraphDecision(True, FinitePath(map(edges.__getitem__, found)))
+    return GraphDecision(True, LoopSet(tuple(
+        (FinitePath(map(edges.__getitem__, ids)), c) for ids, c in found)))
+
+
+def _checked_hit(arena, order, stored, rates):
+    """A stored witness as edge ids of ``arena``, checked exactly on its
+    tables, or None for a stored "no".  The bounded walk, and each loop
+    of a loop set, must be a nonempty closed walk; each loop must be
+    simple; the color counts must be equal (bounded) or, summed with
+    the loops' multiplicities, grow at the target rates."""
+    exists, payload = stored
+    if not exists:
+        return None
+    src, dst, color = arena.edge_src, arena.edge_dst, arena.edge_color
+    counts = [0] * arena.k
+
+    def closed(ids, times) -> bool:
+        """Is it a nonempty closed walk?  Adds its colors to ``counts``."""
+        ends = [dst[i] for i in ids]
+        if not ids or ends[-1:] + ends[:-1] != [src[i] for i in ids]:
+            return False
+        for i in ids:
+            counts[color[i] - 1] += times
+        return True
+    if rates is None:
+        walk = [order[i] for i in payload]
+        if not closed(walk, 1) or counts.count(counts[0]) != len(counts):
+            raise InternalCheckError("cached walk lost the zero-difference "
+                                     "property")
+        return walk
+    loops = [([order[i] for i in positions], c) for positions, c in payload]
+    for ids, c in loops:
+        if not closed(ids, c) or len({src[i] for i in ids}) != len(ids):
+            raise InternalCheckError("cached loop is not a simple cycle")
+    total = sum(c * len(ids) for ids, c in loops)
+    if total <= 0 or any(rates.den * n != p * total
+                         for n, p in zip(counts, rates.nums)):
+        raise InternalCheckError("cached loop set does not match the target "
+                                 "rates")
+    return loops
 
 
 def _decide_limit_path(arena: ColoredArena, rates: FrequencyVector,
@@ -652,35 +680,25 @@ def _compute_limit_path(arena: ColoredArena,
 
 def _store_decision(arena, order, decision):
     """Witness edges as positions in the canonical order: per loop for a
-    loop set, along the walk for a bounded witness."""
+    loop set, along the walk for a bounded witness.  Parallel edges with
+    equal (source, color, target) are interchangeable in every decision
+    and witness property, so each maps to the first such position."""
     if not decision.exists:
         return (False, None)
-    pos = _edge_position_by_value(arena, order)
+    src, color, dst = arena.edge_src, arena.edge_color, arena.edge_dst
+    pos: dict[tuple, int] = {}
+    for i, eid in enumerate(order):
+        pos.setdefault((src[eid], color[eid], dst[eid]), i)
+    index = arena.node_index
 
     def positions(path):
-        return tuple(pos[(e.src, e.color, e.dst)] for e in path.edges)
+        return tuple(pos[(index[e.src], e.color, index[e.dst])]
+                     for e in path.edges)
     witness = decision.witness
     if isinstance(witness, LoopSet):
         return (True, tuple((positions(path), c)
                             for path, c in witness.loops))
     return (True, positions(witness))
-
-
-def _restore_limit_decision(arena, order, stored, rates):
-    exists, payload = stored
-    if not exists:
-        return GraphDecision(False)
-    loops = tuple(
-        (FinitePath(arena.edges[order[i]] for i in positions), c)
-        for positions, c in payload)
-    loop_set = LoopSet(loops)
-    for path, _ in loop_set.loops:
-        if not path.is_simple_cycle():
-            raise InternalCheckError("cached loop is not a simple cycle")
-    if not loop_ratio_matches(loop_set, rates):
-        raise InternalCheckError("cached loop set does not match the target "
-                                 "rates")
-    return GraphDecision(True, loop_set)
 
 
 def decide_frequency_path(arena: ColoredArena, freq: FrequencyVector,
@@ -710,17 +728,6 @@ def decide_bounded_path(arena: ColoredArena,
     ckey, order = reachable_canonical_form(arena)
     return cached_decision(cache, (*decision_key_prefix(None), ckey), arena,
                            order, None, lambda: _compute_bounded_path(arena))
-
-
-def _restore_bounded_decision(arena, order, stored):
-    exists, payload = stored
-    if not exists:
-        return GraphDecision(False)
-    walk = FinitePath(arena.edges[order[i]] for i in payload)
-    if not is_zero_diff_cycle(walk, arena.k):
-        raise InternalCheckError("cached walk lost the zero-difference "
-                                 "property")
-    return GraphDecision(True, walk)
 
 
 def _compute_bounded_path(arena: ColoredArena) -> GraphDecision:

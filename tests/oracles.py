@@ -17,14 +17,14 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from colorgames import (CnfFormula, ColoredArena, ContractError, Edge,
                         FeasibilityResult, FinitePath, FrequencyVector, Goal,
                         LinearSystem, MemorylessStrategy, Node,
                         ParseError, PathSchedule, RawArena, ValidationError,
-                        build_color_limit_system, enumerate_strategies,
-                        graph_decide, prune)
+                        build_color_limit_system, color_counts,
+                        enumerate_strategies, graph_decide, prune)
 from colorgames.arena import MAX_CHAIN_NODES, MAX_COLORS
 
 
@@ -571,11 +571,14 @@ def _reference_validate(k, nodes, initial, edges) -> None:
 
 
 def reference_tables(nodes, edges) -> dict:
-    """An arena's index tables, each computed on its own."""
+    """An arena's index tables, each computed on its own from records."""
     index = {nd.id: i for i, nd in enumerate(nodes)}
-    return {"node_index": index,
+    return {"node_ids": [nd.id for nd in nodes],
+            "owners": [nd.owner for nd in nodes],
+            "node_index": index,
             "out_ids": [[eid for eid, e in enumerate(edges) if e.src == nd.id]
                         for nd in nodes],
+            "edge_src": [index[e.src] for e in edges],
             "edge_dst": [index[e.dst] for e in edges],
             "edge_color": [e.color for e in edges]}
 
@@ -583,8 +586,29 @@ def reference_tables(nodes, edges) -> dict:
 def arena_fields(arena) -> dict:
     """What ``reference_load_arena`` returns, read off an arena."""
     return {name: getattr(arena, name)
-            for name in ("k", "nodes", "initial", "edges", "node_index",
-                         "out_ids", "edge_dst", "edge_color")}
+            for name in ("k", "nodes", "initial", "edges", "node_ids",
+                         "owners", "node_index", "out_ids", "edge_src",
+                         "edge_dst", "edge_color")}
+
+
+def reference_prune(arena: ColoredArena,
+                    strategy: MemorylessStrategy) -> ColoredArena:
+    """The pruned arena built from records: a BFS by node ids that keeps
+    only the strategy's edge at player-1 nodes, then the reached nodes
+    and edges in parent order, through the validating constructor."""
+    chosen = strategy.as_dict()
+    out: dict[str, list[int]] = {}
+    for eid, e in enumerate(arena.edges):
+        out.setdefault(e.src, []).append(eid)
+    seen, queue, kept = {arena.initial}, [arena.initial], []
+    for u in queue:
+        for eid in [chosen[u]] if u in chosen else out[u]:
+            kept.append(eid)
+            if arena.edges[eid].dst not in seen:
+                seen.add(arena.edges[eid].dst)
+                queue.append(arena.edges[eid].dst)
+    return ColoredArena(arena.k, [nd for nd in arena.nodes if nd.id in seen],
+                        arena.initial, [arena.edges[eid] for eid in sorted(kept)])
 
 
 def reference_canonical_form(arena: ColoredArena,
@@ -747,6 +771,84 @@ def reference_max_abs_diff(edges: Iterable[Edge], k: int) -> int:
         counts[e.color - 1] += 1
         worst = max(worst, max(counts) - min(counts))
     return worst
+
+
+# --- color difference statistics ---------------------------------------
+
+
+class DiffMatrix:
+    """k x k integer matrix of pairwise color-count differences.
+
+    Entry (a, b) is the number of occurrences of color a minus the number
+    of occurrences of color b; the matrix is antisymmetric with zero
+    diagonal and entry(a,b) + entry(b,c) = entry(a,c).
+    """
+
+    __slots__ = ("k", "rows")
+
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        self.rows = tuple(tuple(r) for r in rows)
+        self.k = len(self.rows)
+        for r in self.rows:
+            if len(r) != self.k:
+                raise ContractError("diff matrix must be square")
+        ref = [self.rows[a][self.k - 1] for a in range(self.k)]
+        for a in range(self.k):
+            for b in range(self.k):
+                if self.rows[a][b] != ref[a] - ref[b]:
+                    raise ContractError(
+                        "matrix is not a pairwise-difference matrix")
+
+    @classmethod
+    def from_counts(cls, counts: Sequence[int]) -> "DiffMatrix":
+        return cls([[ca - cb for cb in counts] for ca in counts])
+
+    @classmethod
+    def zero(cls, k: int) -> "DiffMatrix":
+        return cls([[0] * k for _ in range(k)])
+
+    def entry(self, a: int, b: int) -> int:
+        """1-based access, matching color names."""
+        return self.rows[a - 1][b - 1]
+
+    def is_zero(self) -> bool:
+        return all(v == 0 for row in self.rows for v in row)
+
+    def __add__(self, other: "DiffMatrix") -> "DiffMatrix":
+        if self.k != other.k:
+            raise ContractError("size mismatch")
+        return DiffMatrix([[x + y for x, y in zip(ra, rb)]
+                           for ra, rb in zip(self.rows, other.rows)])
+
+    def scaled(self, c: int) -> "DiffMatrix":
+        return DiffMatrix([[c * v for v in row] for row in self.rows])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DiffMatrix) and self.rows == other.rows
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def __repr__(self):
+        return f"DiffMatrix({[list(r) for r in self.rows]})"
+
+
+def diff_matrix(word, k: int) -> DiffMatrix:
+    """Color difference matrix of a finite color word or path."""
+    if isinstance(word, FinitePath):
+        word = word.colors()
+    return DiffMatrix.from_counts(color_counts(word, k))
+
+
+def prefix_frequencies(word, k: int) -> tuple[Fraction, ...]:
+    """Exact per-color frequencies of a nonempty finite prefix."""
+    if isinstance(word, FinitePath):
+        word = word.colors()
+    counts = color_counts(word, k)
+    n = sum(counts)
+    if n == 0:
+        raise ContractError("prefix frequencies are undefined on length 0")
+    return tuple(Fraction(c, n) for c in counts)
 
 
 # --- worked example word ----------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 from colorgames import (CnfFormula, FrequencyVector, Goal,
                         build_schedule, cnf_to_arena, color_counts,
                         decide_balanced_path, decide_bounded_path,
-                        decide_frequency_path, decide_winner, diff_matrix,
+                        decide_frequency_path, decide_winner,
                         enumerate_strategies,
                         measure_convergence, prune, scheduler_arena,
                         simulate_scheduler_policy, solve_feasibility, stream,
@@ -27,9 +27,9 @@ from colorgames import (CnfFormula, FrequencyVector, Goal,
 from colorgames.games import graph_decide
 from colorgames.synth import convergence_profile
 from builders import TWO_LOOPS, build_arena
-from oracles import (fm_feasible, growing_block_word, loop_combination_exists,
-                     random_connected_arena, random_formula, random_system,
-                     zero_diff_walk_exists)
+from oracles import (diff_matrix, fm_feasible, growing_block_word,
+                     loop_combination_exists, random_connected_arena,
+                     random_formula, random_system, zero_diff_walk_exists)
 
 GOALS = (Goal.balanced(), Goal.bounded())
 

@@ -9,15 +9,16 @@ from fractions import Fraction
 import pytest
 
 from colorgames import arena as arena_module
-from colorgames import (ArenaError, ColoredArena, ContractError, DiffMatrix,
-                        Edge, FinitePath, FrequencyVector, Goal, Node,
-                        ParseError, RawArena, ValidationError, color_counts,
-                        desugar_uncolored, diff_matrix, load_arena,
-                        load_raw_arena, prefix_frequencies, serialize_arena)
+from colorgames import (ArenaError, ColoredArena, ContractError, Edge,
+                        FinitePath, FrequencyVector, Goal, Node, ParseError,
+                        RawArena, ValidationError, color_counts,
+                        desugar_uncolored, load_arena, load_raw_arena,
+                        serialize_arena)
 from builders import TWO_LOOPS, build_arena
 from colorgames.arena import MAX_CHAIN_NODES, MAX_COLORS
-from oracles import (arena_fields, growing_block, growing_block_word,
-                     random_raw_arena, reference_load_arena, reference_tables)
+from oracles import (DiffMatrix, arena_fields, diff_matrix, growing_block,
+                     growing_block_word, prefix_frequencies, random_raw_arena,
+                     reference_load_arena, reference_tables)
 
 
 def arena_text(k, nodes, initial, edges):
@@ -80,16 +81,13 @@ def test_load_rejects_k_above_limit():
 
 
 def _forbid_chain_nodes(monkeypatch):
-    """Make the node constructor the expansion calls fail on a chain
-    node; raw nodes are still made."""
-    make_node = arena_module.Node
+    """Make the expansion fail when it allocates its chain nodes: it
+    takes their fresh ids from ``_chain_ids`` before it extends the node
+    tables."""
+    def chain_ids(uncolored, k, index):
+        raise AssertionError("a chain node was made")
 
-    def node(id, owner):
-        if id.startswith("@"):
-            raise AssertionError("a chain node was made")
-        return make_node(id, owner)
-
-    monkeypatch.setattr(arena_module, "Node", node)
+    monkeypatch.setattr(arena_module, "_chain_ids", chain_ids)
 
 
 def test_desugar_rejects_expansion_above_limit(monkeypatch):
@@ -185,6 +183,29 @@ def test_load_arena_matches_two_step_reference():
         collisions += any(nd.id.startswith("_@") for nd in fields["nodes"])
         single_color += fields["k"] == 1
     assert collisions > 0 and single_color > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_table_loading_matches_records_and_reference(k):
+    # the file takes the ids @0.1 and _@0.1, so the first chain node of
+    # edge 0 is __@0.1; at k = 1 an uncolored edge becomes one edge
+    text = arena_text(k, [("@0.1", 0), ("_@0.1", 1), ("u", 0)], "u",
+                      [("u", None, "@0.1"), ("@0.1", None, "_@0.1"),
+                       ("_@0.1", 1, "u"), ("_@0.1", None, "u")])
+    fields = reference_load_arena(text)
+    loaded = load_arena(text)
+    assert "nodes" not in vars(loaded) and "edges" not in vars(loaded)
+    raw = load_raw_arena(text)
+    records = RawArena(raw.k, raw.nodes, raw.initial, raw.edges)
+    assert arena_fields(records) == arena_fields(raw) == {
+        **arena_fields(raw), **reference_tables(raw.nodes, raw.edges)}
+    direct = ColoredArena(*(fields[f] for f in ("k", "nodes", "initial",
+                                                 "edges")))
+    for arena in (loaded, desugar_uncolored(records), direct):
+        assert arena_fields(arena) == fields
+        assert arena == loaded and hash(arena) == hash(loaded)
+    assert ("__@0.1" in loaded.node_index) == (k > 1)
+    assert len(loaded.node_ids) == 3 + 3 * (k - 1)
 
 
 def _broken_texts(rng):

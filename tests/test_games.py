@@ -1,17 +1,21 @@
 """Game solver: enumeration, pruning, winners, witnesses."""
 
+import hashlib
+import json
+
 import pytest
 
-from colorgames import (ColoredArena, ContractError, FrequencyVector, Goal,
-                        StrategyBudgetError, cnf_to_arena, count_strategies,
-                        decide_balanced_path, decide_winner,
-                        enumerate_strategies, graph_decide, load_arena, prune,
+from colorgames import (ColoredArena, ContractError, Edge, FrequencyVector,
+                        Goal, InternalCheckError, StrategyBudgetError,
+                        cnf_to_arena, count_strategies, decide_balanced_path,
+                        decide_winner, enumerate_strategies, games,
+                        graph_decide, graphs, load_arena, prune,
                         serialize_arena)
 from colorgames.graphs import reachable_canonical_form
 from builders import TWO_LOOPS, build_arena
 from oracles import (arena_fields, random_connected_arena, random_formula,
                      reference_canonical_form, reference_decide_winner,
-                     reference_tables)
+                     reference_prune, reference_tables)
 from colorgames import CnfFormula
 
 import random
@@ -297,3 +301,101 @@ def test_sweep_fills_the_cache_like_the_pruned_arena_loop():
             assert (result.winner, result.witness, result.log) == expected
             assert result.explored == len(expected[2])
     assert cache == reference
+
+
+def _record_json(arena) -> str:
+    """An arena's JSON written from its records, not its tables."""
+    return json.dumps({
+        "k": arena.k, "initial": arena.initial,
+        "nodes": [{"id": nd.id, "owner": nd.owner} for nd in arena.nodes],
+        "edges": [{"src": e.src, "color": e.color, "dst": e.dst}
+                  for e in arena.edges]}, sort_keys=True)
+
+
+def test_prune_on_tables_matches_record_reference():
+    # loaded arenas hold tables only; the pruned arena built from them
+    # equals the one built from records in its JSON, records and tables
+    cnf = 0
+    for arena in _seeded_game_arenas(909):
+        loaded = load_arena(serialize_arena(arena))
+        cnf += any(nd.id.startswith("@") for nd in arena.nodes)
+        for strategy in enumerate_strategies(loaded):
+            pruned = prune(loaded, strategy)
+            expected = reference_prune(arena, strategy)
+            assert hashlib.sha256(pruned.to_json().encode()).digest() == \
+                hashlib.sha256(_record_json(expected).encode()).digest()
+            fields = arena_fields(pruned)
+            assert fields == {**fields, "nodes": expected.nodes,
+                              "edges": expected.edges,
+                              **reference_tables(expected.nodes,
+                                                 expected.edges)}
+        assert "nodes" not in vars(loaded) and "edges" not in vars(loaded)
+    assert cnf == 30
+
+
+# p chooses between two edges into the 4-cycle a -1-> b -2-> c -1-> d -2-> a,
+# whose a -> b edge has a parallel edge of color 2
+_TAMPER_ARENA = [("p", 1, "a"), ("p", 2, "a"), ("a", 1, "b"), ("a", 2, "b"),
+                 ("b", 2, "c"), ("c", 1, "d"), ("d", 2, "a")]
+
+
+def _tampered(payload, order, arena, how, bounded):
+    """A stored witness changed by ``how``: two positions swapped, the
+    last two edges dropped (their colors cancel, so only the closure
+    check sees it), or each a -1-> b replaced by its color-2 twin."""
+    ab = {arena.edges.index(Edge("a", c, "b")) for c in (1, 2)}
+
+    def walk(positions):
+        if how == "swap":
+            return (positions[1], positions[0], *positions[2:])
+        if how == "open":
+            return positions[:-2]
+        return tuple(order.index(*ab - {order[i]}) if order[i] in ab else i
+                     for i in positions)
+    return walk(payload) if bounded else tuple(
+        (walk(positions), c) for positions, c in payload)
+
+
+@pytest.mark.parametrize("how", ["swap", "open", "color"])
+@pytest.mark.parametrize("goal", [Goal.balanced(), Goal.bounded()])
+def test_tampered_cache_hits_fail_the_table_check(goal, how):
+    bounded = goal.kind == "bounded"
+    game = build_arena(2, _TAMPER_ARENA, owners={"p": 1})
+    one_player = build_arena(2, _TAMPER_ARENA[2:])
+    for arena, choices in ((game, [s.as_dict() for s in
+                                   enumerate_strategies(game)]),
+                           (one_player, [None])):
+        cache = {}
+        if arena is game:
+            decide = lambda: decide_winner(arena, goal, cache=cache)
+        else:
+            decide = lambda: graph_decide(arena, goal, cache)
+        assert (decide().winner == 0) if arena is game else decide().exists
+        prefix = graphs.decision_key_prefix(goal.rates(2))
+        for choice in choices:
+            ckey, order = reachable_canonical_form(arena, choice)
+            exists, payload = cache[(*prefix, ckey)]
+            assert exists
+            cache[(*prefix, ckey)] = (True, _tampered(
+                payload, order, arena, how, bounded))
+        with pytest.raises(InternalCheckError, match="^cached "):
+            decide()
+
+
+def test_warm_cache_sweep_builds_no_records(monkeypatch):
+    # a second sweep over freshly loaded arenas hits on every strategy
+    # and checks each hit on the tables alone
+    rng = random.Random(919)
+    texts = [serialize_arena(cnf_to_arena(random_formula(
+        rng, max_vars=3, max_clauses=3))) for _ in range(40)]
+    goals = (Goal.balanced(), Goal.bounded())
+    cache = {}
+    warm = [decide_winner(load_arena(t), g, cache=cache)
+            for t in texts for g in goals]
+    size = len(cache)
+    monkeypatch.setattr(games, "graph_decide", None)  # a miss would fail
+    arenas = [load_arena(t) for t in texts]
+    again = [decide_winner(a, g, cache=cache) for a in arenas for g in goals]
+    assert again == warm and len(cache) == size
+    for arena in arenas:
+        assert "nodes" not in vars(arena) and "edges" not in vars(arena)

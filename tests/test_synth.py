@@ -12,14 +12,13 @@ from colorgames import (ContractError, Edge, FinitePath, FrequencyVector,
                         bounded_witness_stream, build_schedule,
                         convergence_profile, decide_balanced_path,
                         decide_bounded_path, decide_frequency_path,
-                        diff_matrix, edge_components,
-                        measure_convergence, stream)
+                        edge_components, measure_convergence, stream)
 from colorgames.synth import shortest_path
 from builders import TWO_LOOPS, build_arena
-from oracles import (enumerate_simple_cycles, growing_block_word,
-                     random_connected_arena, reference_bounded_stream,
-                     reference_profile, reference_shortest_path,
-                     reference_stream)
+from oracles import (diff_matrix, enumerate_simple_cycles,
+                     growing_block_word, random_connected_arena,
+                     reference_bounded_stream, reference_profile,
+                     reference_shortest_path, reference_stream)
 
 
 def two_loop_schedule(freq=None):

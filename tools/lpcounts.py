@@ -7,7 +7,8 @@ Runs one pass of a perfbench workload against the library under
 ``--src`` (any checkout) and prints one JSON line: LP solves (and how
 many started from a factored basis), phase-1 pivots, factorization
 pivots, solves the rate screen skipped, Tarjan runs (``graphs._tarjan``),
-the final synth-stream deviation of every request, and the best of
+the ``arena.Node`` and ``arena.Edge`` records built in the pass, the
+final synth-stream deviation of every request, and the best of
 ``--repeats`` in-process pass times.  Of the solves, it also counts the
 bounded goal's cover solves and full-support solves, and how many
 full-support solves were feasible; a checkout without
@@ -51,6 +52,7 @@ def main() -> int:
     best = min(_timed(one_pass) for _ in range(args.repeats))
     counts = dict.fromkeys(("solves", "warm_solves", "phase1_pivots",
                             "factor_pivots", "screened", "tarjan_runs",
+                            "node_records", "edge_records",
                             "cover_solves", "full_support_solves",
                             "full_support_feasible"), 0)
     graphs, lp = lib.graphs, lib.lp
@@ -75,6 +77,12 @@ def main() -> int:
 
     graphs.solve_feasibility, lp._pivot = counted_solve, counted_pivot
     graphs._tarjan = counted_tarjan
+    for cls, key in ((lib.arena.Node, "node_records"),
+                     (lib.arena.Edge, "edge_records")):
+        def counted_init(self, *a, _init=cls.__init__, _key=key):
+            counts[_key] += 1
+            _init(self, *a)
+        cls.__init__ = counted_init
     if hasattr(graphs, "factor_rows"):
         factor = graphs.factor_rows
 
