@@ -177,6 +177,8 @@ def test_load_arena_matches_two_step_reference():
         assert arena_fields(raw) == {
             **arena_fields(raw), **reference_tables(raw.nodes, raw.edges)}
         assert arena_fields(desugar_uncolored(raw)) == fields
+        records = RawArena(raw.k, raw.nodes, raw.initial, raw.edges)
+        assert arena_fields(desugar_uncolored(records)) == fields
         direct = ColoredArena(*(fields[f] for f in ("k", "nodes", "initial",
                                                      "edges")))
         assert arena_fields(direct) == fields
