@@ -104,9 +104,8 @@ class _ArenaBase:
     @classmethod
     def from_tables(cls, k, node_ids, owners, initial, node_index, edge_src,
                     edge_color, edge_dst):
-        """An arena that takes over checked tables without validating
-        them again: those of a loaded file, or of a construction that
-        keeps every invariant, such as pruning to a reachable part."""
+        """An arena on checked tables, not validated again: a loaded
+        file's, or those of a construction that keeps every invariant."""
         return _fill(cls.__new__(cls), k, node_ids, owners, initial,
                      node_index, edge_src, edge_color, edge_dst)
 
@@ -262,7 +261,6 @@ def _expanded(k, node_ids, owners, initial, index, edge_src, colors,
         node_ids += fresh
         owners += [0] * len(fresh)
         src, color, dst = [], [], []
-        steps = range(1, k + 1)
         for eid, c in enumerate(colors):
             if c is not None:
                 src.append(edge_src[eid])
@@ -273,7 +271,7 @@ def _expanded(k, node_ids, owners, initial, index, edge_src, colors,
             node += k - 1
             src.append(edge_src[eid])
             src += chain
-            color += steps
+            color += range(1, k + 1)
             dst += chain
             dst.append(edge_dst[eid])
         edge_src, colors, edge_dst = src, color, dst
@@ -282,9 +280,8 @@ def _expanded(k, node_ids, owners, initial, index, edge_src, colors,
 
 
 def _chain_ids(uncolored: list[int], k: int, index: dict) -> list[str]:
-    """Fresh ids of the chain nodes, ``@eid.step`` for each uncolored
-    edge eid and step 1..k-1, each prefixed with ``_`` while a node of
-    the file has it.  Distinct (eid, step) give distinct ids."""
+    """Fresh chain-node ids ``@eid.step`` per uncolored edge eid and step
+    1..k-1, each prefixed with ``_`` while a node of the file has it."""
     fresh = [f"@{eid}.{step}" for eid in uncolored for step in range(1, k)]
     if not index.keys().isdisjoint(fresh):
         for i, name in enumerate(fresh):
@@ -416,6 +413,14 @@ class FinitePath:
         return f"FinitePath({list(self.edges)!r})"
 
 
+class _HashedOnce(tuple):
+    """A tuple hashed once: decision-cache keys hold a goal's rates and
+    are hashed per lookup, and a Fraction's hash takes a modular inverse."""
+
+    def __hash__(self):
+        return self.hash
+
+
 @dataclass(frozen=True)
 class FrequencyVector:
     """k nonnegative rationals summing exactly to one: the target rates
@@ -425,7 +430,8 @@ class FrequencyVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        values = tuple(map(Fraction, self.values))
+        values = _HashedOnce(map(Fraction, self.values))
+        values.hash = tuple.__hash__(values)
         if not values:
             raise ContractError("empty frequency vector")
         if any(v < 0 for v in values):

@@ -617,39 +617,33 @@ def cached_decision(cache: dict, key: tuple, arena: ColoredArena, order,
 def _checked_hit(arena, order, stored, rates):
     """A stored witness as edge ids of ``arena``, checked exactly on its
     tables, or None for a stored "no".  The bounded walk, and each loop
-    of a loop set, must be a nonempty closed walk; each loop must be
-    simple; the color counts must be equal (bounded) or, summed with
-    the loops' multiplicities, grow at the target rates."""
+    of a loop set, must be a nonempty closed walk, each loop simple; the
+    color counts, summed with the loops' multiplicities, must grow at
+    the target rates, or at equal rates for the bounded walk."""
     exists, payload = stored
     if not exists:
         return None
+    loops = rates is not None
     src, dst, color = arena.edge_src, arena.edge_dst, arena.edge_color
-    counts = [0] * arena.k
-
-    def closed(ids, times) -> bool:
-        """Is it a nonempty closed walk?  Adds its colors to ``counts``."""
+    counts, total, found = [0] * arena.k, 0, []
+    for positions, times in payload if loops else [(payload, 1)]:
+        ids = [order[i] for i in positions]
+        starts = [src[i] for i in ids]
         ends = [dst[i] for i in ids]
-        if not ids or ends[-1:] + ends[:-1] != [src[i] for i in ids]:
-            return False
+        if not ids or ends[-1:] + ends[:-1] != starts:
+            raise InternalCheckError("cached walk is not closed")
+        if loops and len(set(starts)) < len(ids):
+            raise InternalCheckError("cached loop is not a simple cycle")
         for i in ids:
             counts[color[i] - 1] += times
-        return True
-    if rates is None:
-        walk = [order[i] for i in payload]
-        if not closed(walk, 1) or counts.count(counts[0]) != len(counts):
-            raise InternalCheckError("cached walk lost the zero-difference "
-                                     "property")
-        return walk
-    loops = [([order[i] for i in positions], c) for positions, c in payload]
-    for ids, c in loops:
-        if not closed(ids, c) or len({src[i] for i in ids}) != len(ids):
-            raise InternalCheckError("cached loop is not a simple cycle")
-    total = sum(c * len(ids) for ids, c in loops)
+        total += times * len(ids)
+        found.append((ids, times))
+    rates = rates or FrequencyVector.uniform(arena.k)
     if total <= 0 or any(rates.den * n != p * total
                          for n, p in zip(counts, rates.nums)):
-        raise InternalCheckError("cached loop set does not match the target "
+        raise InternalCheckError("cached witness does not match the goal's "
                                  "rates")
-    return loops
+    return found if loops else found[0][0]
 
 
 def _decide_limit_path(arena: ColoredArena, rates: FrequencyVector,

@@ -608,7 +608,8 @@ def reference_prune(arena: ColoredArena,
                 seen.add(arena.edges[eid].dst)
                 queue.append(arena.edges[eid].dst)
     return ColoredArena(arena.k, [nd for nd in arena.nodes if nd.id in seen],
-                        arena.initial, [arena.edges[eid] for eid in sorted(kept)])
+                        arena.initial,
+                        [arena.edges[eid] for eid in sorted(kept)])
 
 
 def reference_canonical_form(arena: ColoredArena,
