@@ -102,6 +102,14 @@ class _ArenaBase:
         self.nodes, self.edges = nodes, edges
 
     @classmethod
+    def from_fields(cls, k, node_ids, owners, initial, srcs, colors, dsts):
+        """The arena of the loader's fields (node ids, owners, and per
+        edge source id, color and target id), checked as records are."""
+        return cls.from_tables(*_checked_tables(
+            k, node_ids, owners, initial, srcs, colors, dsts,
+            issubclass(cls, RawArena)))
+
+    @classmethod
     def from_tables(cls, k, node_ids, owners, initial, node_index, edge_src,
                     edge_color, edge_dst):
         """An arena on checked tables, not validated again: a loaded
@@ -174,45 +182,38 @@ def _fill(arena, k, node_ids, owners, initial, node_index, edge_src,
 def _checked_tables(k, node_ids, owners, initial, srcs, colors, dsts,
                     allow_uncolored: bool) -> tuple:
     """Check an arena's fields in a fixed order; return its tables in
-    the order ``from_tables`` takes them.  Bulk checks pass valid
-    fields at C speed; when one fails, an ordered loop raises the first
-    error."""
+    the order ``from_tables`` takes them."""
     if k < 1:
         raise ValidationError(f"color count k must be >= 1, got {k}")
     if k > MAX_COLORS:
         raise ValidationError(
             f"color count k = {k} exceeds the limit {MAX_COLORS}")
-    index = dict(zip(node_ids, range(len(node_ids))))
-    if len(index) < len(node_ids) or (
-            owners.count(0) + owners.count(1) < len(owners)):
-        index = {}
-        for i, (node, owner) in enumerate(zip(node_ids, owners)):
-            if node in index:
-                raise ValidationError(f"duplicate node id {node!r}")
-            index[node] = i
-            if owner not in (0, 1):
-                raise ValidationError(
-                    f"node {node!r} has owner {owner!r}, expected 0 or 1")
+    index: dict[str, int] = {}
+    for i, (node, owner) in enumerate(zip(node_ids, owners)):
+        if node in index:
+            raise ValidationError(f"duplicate node id {node!r}")
+        index[node] = i
+        if owner not in (0, 1):
+            raise ValidationError(
+                f"node {node!r} has owner {owner!r}, expected 0 or 1")
     if initial not in index:
         raise ValidationError(f"initial node {initial!r} does not exist")
     edge_src, edge_dst = list(map(index.get, srcs)), list(map(index.get, dsts))
-    allowed = {*range(1, k + 1), *[None] * allow_uncolored}
-    if None in edge_src or None in edge_dst or not allowed.issuperset(colors):
-        for eid, (s, c, d) in enumerate(zip(edge_src, colors, edge_dst)):
-            if s is None:
-                raise ValidationError(
-                    f"edge {eid} has unknown source {srcs[eid]!r}")
-            if d is None:
-                raise ValidationError(
-                    f"edge {eid} has unknown target {dsts[eid]!r}")
-            if c is None:
-                if not allow_uncolored:
-                    raise ValidationError(f"edge {eid} is uncolored")
-            elif not 1 <= c <= k:
-                raise ValidationError(
-                    f"edge {eid} has color {c}, outside 1..{k}")
-    if len(set(edge_src)) < len(node_ids):
-        idle = set(range(len(node_ids))).difference(edge_src)
+    for eid, (s, c, d) in enumerate(zip(edge_src, colors, edge_dst)):
+        if s is None:
+            raise ValidationError(
+                f"edge {eid} has unknown source {srcs[eid]!r}")
+        if d is None:
+            raise ValidationError(
+                f"edge {eid} has unknown target {dsts[eid]!r}")
+        if c is None:
+            if not allow_uncolored:
+                raise ValidationError(f"edge {eid} is uncolored")
+        elif not 1 <= c <= k:
+            raise ValidationError(
+                f"edge {eid} has color {c}, outside 1..{k}")
+    idle = set(range(len(node_ids))).difference(edge_src)
+    if idle:
         raise ValidationError(
             f"node {node_ids[min(idle)]!r} has no outgoing edge")
     return k, node_ids, owners, initial, index, edge_src, colors, edge_dst
@@ -332,8 +333,7 @@ def _typed(value, kind: type, field: str):
 def load_raw_arena(text: str) -> RawArena:
     """Parse and validate an arena file without expanding uncolored
     edges."""
-    return RawArena.from_tables(*_checked_tables(*_parsed_fields(text),
-                                                 allow_uncolored=True))
+    return RawArena.from_fields(*_parsed_fields(text))
 
 
 def load_arena(text: str) -> ColoredArena:
@@ -413,14 +413,6 @@ class FinitePath:
         return f"FinitePath({list(self.edges)!r})"
 
 
-class _HashedOnce(tuple):
-    """A tuple hashed once: decision-cache keys hold a goal's rates and
-    are hashed per lookup, and a Fraction's hash takes a modular inverse."""
-
-    def __hash__(self):
-        return self.hash
-
-
 @dataclass(frozen=True)
 class FrequencyVector:
     """k nonnegative rationals summing exactly to one: the target rates
@@ -430,8 +422,7 @@ class FrequencyVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        values = _HashedOnce(map(Fraction, self.values))
-        values.hash = tuple.__hash__(values)
+        values = tuple(map(Fraction, self.values))
         if not values:
             raise ContractError("empty frequency vector")
         if any(v < 0 for v in values):

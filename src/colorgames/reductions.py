@@ -140,8 +140,16 @@ def cnf_to_raw_arena(formula: CnfFormula) -> RawArena:
             f"needs {fresh_nodes} chain nodes, more than the limit "
             f"{MAX_CHAIN_NODES}")
     k = n + 1
-    nodes: list[Node] = []
-    edges: list[Edge] = []
+    node_ids, owners, srcs, colors, dsts = [], [], [], [], []
+
+    def node(node_id: str, owner: int) -> None:
+        node_ids.append(node_id)
+        owners.append(owner)
+
+    def edge(src: str, color: int | None, dst: str) -> None:
+        srcs.append(src)
+        colors.append(color)
+        dsts.append(dst)
 
     def upper(j: int, i: int) -> str:
         return f"v{j}'" if i == n + 1 else f"v{j}.{i}"
@@ -150,26 +158,26 @@ def cnf_to_raw_arena(formula: CnfFormula) -> RawArena:
         return f"v{j}'" if i == n + 1 else f"~v{j}.{i}"
 
     for j in range(1, m + 1):
-        nodes.append(Node(f"v{j}", 1))
+        node(f"v{j}", 1)
         for i in range(1, n + 1):
-            nodes.append(Node(upper(j, i), 0))
-            nodes.append(Node(lower(j, i), 0))
-        nodes.append(Node(f"v{j}'", 0))
-        edges.append(Edge(f"v{j}", None, upper(j, 1)))
-        edges.append(Edge(f"v{j}", None, lower(j, 1)))
+            node(upper(j, i), 0)
+            node(lower(j, i), 0)
+        node(f"v{j}'", 0)
+        edge(f"v{j}", None, upper(j, 1))
+        edge(f"v{j}", None, lower(j, 1))
         pos = set(formula.clause_indices(j, True))
         neg = set(formula.clause_indices(j, False))
         for i in range(1, n + 1):
-            edges.append(Edge(upper(j, i), None, upper(j, i + 1)))
+            edge(upper(j, i), None, upper(j, i + 1))
             if i in pos:
-                edges.append(Edge(upper(j, i), i, upper(j, i + 1)))
-            edges.append(Edge(lower(j, i), None, lower(j, i + 1)))
+                edge(upper(j, i), i, upper(j, i + 1))
+            edge(lower(j, i), None, lower(j, i + 1))
             if i in neg:
-                edges.append(Edge(lower(j, i), i, lower(j, i + 1)))
+                edge(lower(j, i), i, lower(j, i + 1))
         if j < m:
-            edges.append(Edge(f"v{j}'", None, f"v{j + 1}"))
-    edges.append(Edge(f"v{m}'", k, "v1"))
-    return RawArena(k, nodes, "v1", edges)
+            edge(f"v{j}'", None, f"v{j + 1}")
+    edge(f"v{m}'", k, "v1")
+    return RawArena.from_fields(k, node_ids, owners, "v1", srcs, colors, dsts)
 
 
 def cnf_to_arena(formula: CnfFormula) -> ColoredArena:

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from colorgames import (CnfFormula, ContractError, DimacsError, Goal,
-                        ValidationError, cnf_to_arena, cnf_to_raw_arena,
-                        color_counts, decide_winner, enumerate_strategies,
-                        load_arena, parse_dimacs, reductions,
-                        scheduler_arena, simulate_scheduler_policy,
-                        tautology_bruteforce)
+                        RawArena, ValidationError, cnf_to_arena,
+                        cnf_to_raw_arena, color_counts, decide_winner,
+                        enumerate_strategies, load_arena, parse_dimacs,
+                        reductions, scheduler_arena,
+                        simulate_scheduler_policy, tautology_bruteforce)
+from oracles import arena_fields, random_formula, reference_tables
 
 
 def clause(*lits):
@@ -73,6 +74,18 @@ def test_cnf_raw_arena_positive_clause_only_upper():
     raw = cnf_to_raw_arena(formula)
     assert [e for e in raw.edges if e.src == "v1.1" and e.color == 1]
     assert not [e for e in raw.edges if e.src == "~v1.1" and e.color == 1]
+
+
+def test_cnf_raw_arena_tables_match_its_records():
+    # the construction fills tables without building records; checking
+    # the records read off them through the constructor gives the same
+    rng = random.Random(18)
+    for _ in range(60):
+        raw = cnf_to_raw_arena(random_formula(rng))
+        fields = arena_fields(raw)
+        assert fields == {**fields, **reference_tables(raw.nodes, raw.edges)}
+        assert arena_fields(RawArena(raw.k, raw.nodes, raw.initial,
+                                     raw.edges)) == fields
 
 
 def test_cnf_arena_desugared_counts():
