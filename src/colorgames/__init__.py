@@ -19,7 +19,7 @@ from .lp import (Constraint, FeasibilityResult, LinearSystem, integer_scale,
 from .reductions import (CnfFormula, DimacsError, SchedulerPolicy,
                          SchedulerRun, cnf_to_arena, cnf_to_raw_arena,
                          parse_dimacs, scheduler_arena,
-                         simulate_scheduler_policy, tautology_bruteforce)
+                         simulate_scheduler_policy)
 from .synth import (PathSchedule, PathStream, bounded_witness_stream,
                     build_schedule, convergence_profile, max_abs_diff,
                     measure_convergence, stream)

@@ -54,11 +54,6 @@ class Node:
     id: str
     owner: int  # 0 or 1
 
-    # slot descriptors: half the cost of the generated frozen __init__
-    def __init__(self, id: str, owner: int):
-        _SET_ID(self, id)
-        _SET_OWNER(self, owner)
-
 
 @dataclass(frozen=True, slots=True)
 class Edge:
@@ -68,18 +63,8 @@ class Edge:
     color: int | None
     dst: str
 
-    def __init__(self, src: str, color: int | None, dst: str):
-        _SET_SRC(self, src)
-        _SET_COLOR(self, color)
-        _SET_DST(self, dst)
-
     def triple(self) -> list:
         return [self.src, self.color, self.dst]
-
-
-_SET_ID, _SET_OWNER = Node.id.__set__, Node.owner.__set__
-_SET_SRC, _SET_COLOR, _SET_DST = (Edge.src.__set__, Edge.color.__set__,
-                                  Edge.dst.__set__)
 
 
 class _ArenaBase:

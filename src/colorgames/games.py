@@ -4,8 +4,8 @@ opponent strategies.
 These games are determined and the opponent never needs memory, so
 player 1 wins iff fixing some per-node edge choice leaves a pruned graph
 without a goal path.  The solver tries every choice table in
-lexicographic order and delegates each pruned graph to the one-player
-decisions.
+lexicographic order; ``graphs.cached_decision`` looks each one's graph
+up by its canonical form, and only a miss is pruned and decided.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def prune(arena: ColoredArena, strategy: MemorylessStrategy) -> ColoredArena:
             if eid is None:
                 raise ContractError(
                     f"strategy misses player-1 node {node_id!r}")
-            if arena.edge_src[eid] != i:
+            if eid not in arena.out_ids[i]:
                 raise ContractError(
                     f"strategy maps {node_id!r} to a foreign edge")
     kept = sorted(graphs._reachable_edge_ids(arena, table))
@@ -116,12 +116,15 @@ class GameResult:
 
 def graph_decide(arena: ColoredArena, goal: Goal,
                  cache: dict | None = None) -> GraphDecision:
-    """One-player decision dispatch for a goal."""
+    """One-player decision for a goal, looked up in ``cache`` if given."""
+    if cache is not None:
+        return graphs.cached_decision(cache, arena, goal.rates(arena.k),
+                                      lambda: graph_decide(arena, goal))
     if goal.kind == "balanced":
-        return decide_balanced_path(arena, cache)
+        return decide_balanced_path(arena)
     if goal.kind == "bounded":
-        return decide_bounded_path(arena, cache)
-    return decide_frequency_path(arena, goal.freq, cache)
+        return decide_bounded_path(arena)
+    return decide_frequency_path(arena, goal.freq)
 
 
 def decide_winner(arena: ColoredArena, goal: Goal,
@@ -132,9 +135,9 @@ def decide_winner(arena: ColoredArena, goal: Goal,
     Returns on the first (lexicographically smallest) winning strategy;
     nothing is kept per strategy beyond the count ``explored``.
 
-    Each strategy's graph is canonicalized on the parent arena and looked
-    up in ``cache`` (a dict local to the call when none is given); only
-    a miss builds the pruned arena and decides it.
+    Each strategy's graph is looked up in ``cache`` (a dict local to the
+    call when none is given) by its canonical form on the parent arena;
+    only a miss builds the pruned arena and decides it.
     """
     rates = goal.rates(arena.k)
     total = count_strategies(arena)
@@ -144,14 +147,10 @@ def decide_winner(arena: ColoredArena, goal: Goal,
             f"{max_strategies}")
     if cache is None:
         cache = {}
-    prefix = graphs.decision_key_prefix(rates)
     for idx, tau in enumerate(enumerate_strategies(arena)):
-        # through the graphs module, so that a wrapper installed there
-        # sees the canonical form
-        ckey, order = graphs.reachable_canonical_form(arena, tau.as_dict())
         decision = graphs.cached_decision(
-            cache, (*prefix, ckey), arena, order, rates,
-            lambda: graph_decide(prune(arena, tau), goal), witness=False)
+            cache, arena, rates, lambda: graph_decide(prune(arena, tau), goal),
+            tau.as_dict(), witness=False)
         if not decision.exists:
             return GameResult(1, tau, total, idx + 1)
     return GameResult(0, None, total, total)

@@ -15,6 +15,9 @@ walks: each group of edges first asks for one zero-difference
 circulation that loads all of its chains, whose Eulerian circuit is the
 witness walk; failing that, edges that cannot carry load in any
 zero-difference circulation are pruned and the survivors regrouped.
+
+The deciders are pure.  ``cached_decision`` is the one cache entry: it
+keys a decision by the goal's rates and the graph's canonical form.
 """
 
 from __future__ import annotations
@@ -371,8 +374,12 @@ class GraphDecision:
 
 
 def _check_conservation(arena: ColoredArena, circ: Circulation) -> None:
+    edge_ids = range(len(arena.edge_src))
     net: dict[str, int] = {}
     for eid, v in circ.loads.items():
+        if eid not in edge_ids:
+            raise ContractError(f"edge id {eid!r} is outside "
+                                f"0..{len(edge_ids) - 1}")
         e = arena.edges[eid]
         net[e.src] = net.get(e.src, 0) - v
         net[e.dst] = net.get(e.dst, 0) + v
@@ -545,7 +552,7 @@ def reachable_canonical_form(arena: ColoredArena,
     parent order, so every tie-break by edge index agrees.
     """
     node_ids, out_ids = arena.node_ids, arena.out_ids
-    src_of, dst_of, color_of = arena.edge_src, arena.edge_dst, arena.edge_color
+    dst_of, color_of = arena.edge_dst, arena.edge_color
     queue = [arena.node_index[arena.initial]]
     label = [-1] * len(node_ids)
     label[queue[0]] = 0
@@ -557,7 +564,7 @@ def reachable_canonical_form(arena: ColoredArena,
             outs = out_ids[u]
             if len(outs) > 1:  # stable: color, then edge index
                 outs = sorted(outs, key=color_of.__getitem__)
-        elif src_of[eid] != u:
+        elif eid not in out_ids[u]:
             raise ContractError(
                 f"choice maps {node_ids[u]!r} to a foreign edge")
         else:
@@ -586,19 +593,23 @@ def decision_key_prefix(rates: FrequencyVector | None) -> tuple:
     return ("bounded",) if rates is None else ("limit", rates.values)
 
 
-def cached_decision(cache: dict, key: tuple, arena: ColoredArena, order,
+def cached_decision(cache: dict, arena: ColoredArena,
                     rates: FrequencyVector | None, compute,
+                    choice: dict[str, int] | None = None,
                     witness: bool = True) -> GraphDecision:
-    """The decision stored under ``key``, or ``compute()`` stored there.
+    """The decision stored in ``cache`` for the graph that ``arena``
+    reaches under ``choice``, or ``compute()`` stored there; keyed by the
+    goal's target ``rates`` (``None`` for bounded) and the graph's
+    canonical form (see ``reachable_canonical_form``).
 
-    ``order`` is the canonical edge order of the graph decided, by edge
-    ids in ``arena``.  A hit is restored onto those edges and re-checked
+    A hit is restored onto the canonical edge order and re-checked
     exactly on the arena's index tables; its witness records are built
     from the checked edge ids only when ``witness`` is set, and without
     it the hit carries the verdict alone.  A miss stores the computed
-    witness by canonical positions.  ``rates`` is the goal's target
-    rates, ``None`` for the bounded goal.
+    witness by canonical positions.
     """
+    ckey, order = reachable_canonical_form(arena, choice)
+    key = (*decision_key_prefix(rates), ckey)
     stored = cache.get(key)
     if stored is None:
         decision = compute()
@@ -646,32 +657,6 @@ def _checked_hit(arena, order, stored, rates):
     return found if loops else found[0][0]
 
 
-def _decide_limit_path(arena: ColoredArena, rates: FrequencyVector,
-                       cache: dict | None) -> GraphDecision:
-    if cache is None:
-        return _compute_limit_path(arena, rates)
-    ckey, order = reachable_canonical_form(arena)
-    return cached_decision(cache, (*decision_key_prefix(rates), ckey), arena,
-                           order, rates,
-                           lambda: _compute_limit_path(arena, rates))
-
-
-def _compute_limit_path(arena: ColoredArena,
-                        rates: FrequencyVector) -> GraphDecision:
-    for edge_ids in edge_components(arena, _reachable_edge_ids(arena)):
-        problem = _LimitProblem(arena, edge_ids, rates)
-        loads = problem.solve()
-        if loads is None:
-            continue
-        circ = Circulation(problem.expand(loads))
-        loop_set = decompose_circulation(arena, circ)
-        if not loop_ratio_matches(loop_set, rates):
-            raise InternalCheckError("loop set does not match the target "
-                                     "rates")
-        return GraphDecision(True, loop_set)
-    return GraphDecision(False)
-
-
 def _store_decision(arena, order, decision):
     """Witness edges as positions in the canonical order: per loop for a
     loop set, along the walk for a bounded witness.  Parallel edges with
@@ -695,44 +680,52 @@ def _store_decision(arena, order, decision):
     return (True, positions(witness))
 
 
-def decide_frequency_path(arena: ColoredArena, freq: FrequencyVector,
-                          cache: dict | None = None) -> GraphDecision:
+# --- the deciders -----------------------------------------------------------
+
+
+def decide_frequency_path(arena: ColoredArena,
+                          freq: FrequencyVector) -> GraphDecision:
     """Does some infinite path from the initial node realize exactly the
     given per-color frequencies?"""
-    return _decide_limit_path(arena, Goal.frequency(freq).rates(arena.k),
-                              cache)
+    return _compute_path(arena, Goal.frequency(freq).rates(arena.k))
 
 
-def decide_balanced_path(arena: ColoredArena,
-                         cache: dict | None = None) -> GraphDecision:
+def decide_balanced_path(arena: ColoredArena) -> GraphDecision:
     """Balanced is the uniform-frequency special case 1/k per color."""
-    return _decide_limit_path(arena, FrequencyVector.uniform(arena.k), cache)
+    return _compute_path(arena, FrequencyVector.uniform(arena.k))
 
 
-# --- bounded difference ------------------------------------------------------
-
-
-def decide_bounded_path(arena: ColoredArena,
-                        cache: dict | None = None) -> GraphDecision:
+def decide_bounded_path(arena: ColoredArena) -> GraphDecision:
     """Does some infinite path keep all pairwise color differences
     bounded?  Equivalent to a reachable closed walk with zero difference
     matrix, repeated forever."""
-    if cache is None:
-        return _compute_bounded_path(arena)
-    ckey, order = reachable_canonical_form(arena)
-    return cached_decision(cache, (*decision_key_prefix(None), ckey), arena,
-                           order, None, lambda: _compute_bounded_path(arena))
+    return _compute_path(arena, None)
 
 
-def _compute_bounded_path(arena: ColoredArena) -> GraphDecision:
-    zero = FrequencyVector.uniform(arena.k)
+def _compute_path(arena: ColoredArena,
+                  rates: FrequencyVector | None) -> GraphDecision:
+    """The first reachable component's witness: loops at the target
+    rates, or a zero-difference closed walk when ``rates`` is None."""
     for edge_ids in edge_components(arena, _reachable_edge_ids(arena)):
-        walk = _zero_diff_component_walk(arena, edge_ids, zero)
-        if walk is not None:
+        if rates is None:
+            walk = _zero_diff_component_walk(
+                arena, edge_ids, FrequencyVector.uniform(arena.k))
+            if walk is None:
+                continue
             if not is_zero_diff_cycle(walk, arena.k):
                 raise InternalCheckError("witness walk has nonzero "
                                          "difference matrix")
             return GraphDecision(True, walk)
+        problem = _LimitProblem(arena, edge_ids, rates)
+        loads = problem.solve()
+        if loads is None:
+            continue
+        loop_set = decompose_circulation(arena,
+                                         Circulation(problem.expand(loads)))
+        if not loop_ratio_matches(loop_set, rates):
+            raise InternalCheckError("loop set does not match the target "
+                                     "rates")
+        return GraphDecision(True, loop_set)
     return GraphDecision(False)
 
 

@@ -102,18 +102,6 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise DimacsError(str(exc)) from exc
 
 
-def tautology_bruteforce(formula: CnfFormula, cap: int = 20) -> bool:
-    """Truth-table check that every assignment satisfies every clause."""
-    m = formula.num_vars
-    if m > cap:
-        raise ContractError(f"{m} variables exceed the truth-table cap {cap}")
-    for bits in range(1 << m):
-        assignment = {v: bool(bits >> (v - 1) & 1) for v in range(1, m + 1)}
-        if not formula.satisfied_by(assignment):
-            return False
-    return True
-
-
 def cnf_to_raw_arena(formula: CnfFormula) -> RawArena:
     """The validity game arena, before uncolored edges are expanded.
 
@@ -279,7 +267,7 @@ def simulate_scheduler_policy(arena: RawArena,
             eid = rng.choice(out)
         else:
             eid = chosen.get(node)
-            if eid is None or arena.edges[eid].src != node:
+            if eid not in out:
                 raise ContractError(f"adversary has no choice at {node!r}")
         edge = arena.edges[eid]
         policy.observe(edge.color)

@@ -852,6 +852,21 @@ def prefix_frequencies(word, k: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, n) for c in counts)
 
 
+# --- CNF validity by truth table ---------------------------------------------
+
+
+def tautology_bruteforce(formula: CnfFormula, cap: int = 20) -> bool:
+    """Truth-table check that every assignment satisfies every clause."""
+    m = formula.num_vars
+    if m > cap:
+        raise ContractError(f"{m} variables exceed the truth-table cap {cap}")
+    for bits in range(1 << m):
+        assignment = {v: bool(bits >> (v - 1) & 1) for v in range(1, m + 1)}
+        if not formula.satisfied_by(assignment):
+            return False
+    return True
+
+
 # --- worked example word ----------------------------------------------------
 
 

@@ -22,14 +22,14 @@ from colorgames import (CnfFormula, FrequencyVector, Goal,
                         decide_frequency_path, decide_winner,
                         enumerate_strategies,
                         measure_convergence, prune, scheduler_arena,
-                        simulate_scheduler_policy, solve_feasibility, stream,
-                        tautology_bruteforce)
+                        simulate_scheduler_policy, solve_feasibility, stream)
 from colorgames.games import graph_decide
 from colorgames.synth import convergence_profile
 from builders import TWO_LOOPS, build_arena
 from oracles import (diff_matrix, fm_feasible, growing_block_word,
                      loop_combination_exists, random_connected_arena,
-                     random_formula, random_system, zero_diff_walk_exists)
+                     random_formula, random_system, tautology_bruteforce,
+                     zero_diff_walk_exists)
 
 GOALS = (Goal.balanced(), Goal.bounded())
 

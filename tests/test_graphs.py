@@ -9,10 +9,12 @@ from math import gcd
 import pytest
 
 from colorgames import (Circulation, ContractError, FrequencyVector, Goal,
-                        build_color_limit_system, graphs, load_arena,
+                        MemorylessStrategy, build_color_limit_system, graphs,
+                        load_arena, prune, scheduler_arena,
+                        simulate_scheduler_policy,
                         decide_balanced_path, decide_bounded_path,
                         decide_frequency_path, decompose_circulation,
-                        edge_components, eulerian_circuit,
+                        edge_components, eulerian_circuit, graph_decide,
                         is_zero_diff_cycle, loop_ratio_matches,
                         solve_feasibility)
 from builders import TWO_LOOPS, build_arena
@@ -235,6 +237,29 @@ def test_decompose_support_must_lie_in_one_component():
         decompose_circulation(apart, Circulation({0: 1, 2: 1}))
 
 
+@pytest.mark.parametrize("edge_id", [lambda n: -1, lambda n: -n,
+                                     lambda n: n], ids=["-1", "-|E|", "|E|"])
+@pytest.mark.parametrize("entry", ["prune", "canonical form", "decompose",
+                                   "euler", "scheduler"])
+def test_edge_ids_outside_the_arena_are_contract_errors(entry, edge_id):
+    # a negative id must not wrap around to an edge counted from the end
+    arena = (scheduler_arena() if entry == "scheduler"
+             else build_arena(2, TWO_LOOPS, owners={"u": 1}))
+    eid = edge_id(len(arena.edge_src))
+    calls = {
+        "prune": lambda: prune(arena, MemorylessStrategy((("u", eid),))),
+        "canonical form": lambda: graphs.reachable_canonical_form(
+            arena, {"u": eid}),
+        "decompose": lambda: decompose_circulation(arena,
+                                                   Circulation({eid: 1})),
+        "euler": lambda: eulerian_circuit(arena, Circulation({eid: 1})),
+        "scheduler": lambda: simulate_scheduler_policy(
+            arena, MemorylessStrategy((("1,0", eid), ("0,1", 8))), 10),
+    }
+    with pytest.raises(ContractError):
+        calls[entry]()
+
+
 def test_euler_triangle():
     arena = build_arena(1, [("a", 1, "b"), ("b", 1, "c"), ("c", 1, "a")])
     walk = eulerian_circuit(arena, Circulation({0: 1, 1: 1, 2: 1}))
@@ -300,8 +325,8 @@ def test_cache_transfers_between_isomorphic_arenas():
     cache = {}
     one = build_arena(2, [("u", 1, "v"), ("v", 2, "u")])
     two = build_arena(2, [("x", 1, "y"), ("y", 2, "x")])
-    d1 = decide_balanced_path(one, cache=cache)
-    d2 = decide_balanced_path(two, cache=cache)
+    d1 = graph_decide(one, Goal.balanced(), cache)
+    d2 = graph_decide(two, Goal.balanced(), cache)
     assert d1.exists and d2.exists
     # the transferred witness must live on the second arena's nodes
     nodes = {e.src for p, _ in d2.witness.loops for e in p.edges}
@@ -448,8 +473,8 @@ def test_cache_with_parallel_identical_edges():
     cache = {}
     one = build_arena(2, [("u", 1, "u"), ("u", 1, "u"), ("u", 2, "u")])
     two = build_arena(2, [("w", 1, "w"), ("w", 1, "w"), ("w", 2, "w")])
-    d1 = decide_balanced_path(one, cache=cache)
-    d2 = decide_balanced_path(two, cache=cache)
+    d1 = graph_decide(one, Goal.balanced(), cache)
+    d2 = graph_decide(two, Goal.balanced(), cache)
     assert d1.exists and d2.exists
     assert loop_ratio_matches(d2.witness, FrequencyVector.uniform(2))
 
@@ -460,11 +485,11 @@ def test_cache_matches_fresh_decisions():
     for _ in range(40):
         arena = random_connected_arena(rng)
         fresh_b = decide_balanced_path(arena)
-        cached_b = decide_balanced_path(arena, cache=cache)
-        again = decide_balanced_path(arena, cache=cache)
+        cached_b = graph_decide(arena, Goal.balanced(), cache)
+        again = graph_decide(arena, Goal.balanced(), cache)
         assert fresh_b.exists == cached_b.exists == again.exists
         fresh_w = decide_bounded_path(arena)
-        cached_w = decide_bounded_path(arena, cache=cache)
+        cached_w = graph_decide(arena, Goal.bounded(), cache)
         assert fresh_w.exists == cached_w.exists
 
 

@@ -9,8 +9,9 @@ from colorgames import (CnfFormula, ContractError, DimacsError, Goal,
                         cnf_to_raw_arena, color_counts, decide_winner,
                         enumerate_strategies, load_arena, parse_dimacs,
                         reductions, scheduler_arena,
-                        simulate_scheduler_policy, tautology_bruteforce)
-from oracles import arena_fields, random_formula, reference_tables
+                        simulate_scheduler_policy)
+from oracles import (arena_fields, random_formula, reference_tables,
+                     tautology_bruteforce)
 
 
 def clause(*lits):

@@ -13,6 +13,8 @@ final synth-stream deviation of every request, and the best of
 bounded goal's cover solves and full-support solves, and how many
 full-support solves were feasible; a checkout without
 ``_LimitProblem.solve_full_support`` reports zero full-support solves.
+Decision cache lookups are calls of ``graphs.cached_decision``, whose
+first argument is the cache; a lookup that grows the cache is a miss.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ def main() -> int:
                             "factor_pivots", "screened", "tarjan_runs",
                             "node_records", "edge_records",
                             "cover_solves", "full_support_solves",
-                            "full_support_feasible"), 0)
+                            "full_support_feasible", "cache_lookups",
+                            "cache_misses"), 0)
     graphs, lp = lib.graphs, lib.lp
     state = {"factoring": False}
     solve, pivot = graphs.solve_feasibility, lp._pivot
@@ -75,8 +78,17 @@ def main() -> int:
         counts["tarjan_runs"] += 1
         return tarjan(*a)
 
+    cached = graphs.cached_decision
+
+    def counted_cached(cache, *a, **kw):
+        size = len(cache)
+        decision = cached(cache, *a, **kw)
+        counts["cache_lookups"] += 1
+        counts["cache_misses"] += len(cache) > size
+        return decision
+
     graphs.solve_feasibility, lp._pivot = counted_solve, counted_pivot
-    graphs._tarjan = counted_tarjan
+    graphs._tarjan, graphs.cached_decision = counted_tarjan, counted_cached
     for cls, key in ((lib.arena.Node, "node_records"),
                      (lib.arena.Edge, "edge_records")):
         def counted_init(self, *a, _init=cls.__init__, _key=key):
