@@ -9,9 +9,12 @@ of k freshly colored edges so that all downstream algorithms only ever
 see fully colored arenas.
 
 Index tables are an arena's primary form: loading parses the file
-straight into them, validates them once and expands chains on them.
-The ``Node`` and ``Edge`` records are built from the tables on first
-use.  The record constructors take the same checks.
+straight into them and validates them once.  An arena with uncolored
+edges keeps the file's tables as its contracted graph, where each chain
+is one edge, and expands the chains into the expanded tables on their
+first use.  The ``Node`` and ``Edge`` records are built from the
+expanded tables on first use.  The record constructors take the same
+checks.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 # Input limits.  Work and memory grow with k (k x k rate matrices, one
@@ -67,15 +70,35 @@ class Edge:
         return [self.src, self.color, self.dst]
 
 
+class ContractedGraph(NamedTuple):
+    """An arena's contracted graph.  Its nodes are the file's nodes, the
+    first positions of the expanded node list.  Its edges are the file's
+    edges, and a desugared chain is one edge of marker color 0 (length
+    k, one occurrence of every color) from the chain's source to its
+    target.  Edges are keyed by their expanded ids, a chain by its
+    head's (its k edges follow from there), so ``out_ids[i]`` is node
+    i's expanded out-list.  ``chains`` counts the chains."""
+
+    node_ids: list
+    owners: list
+    node_index: dict
+    out_ids: list
+    edge_src: list | dict
+    edge_color: list | dict
+    edge_dst: list | dict
+    chains: int
+
+
 class _ArenaBase:
     """Raw and colored arenas, held as index tables: per node
     ``node_ids`` and ``owners``, ``node_index`` from ids to node
     positions, per edge ``edge_src`` and ``edge_dst`` (node positions)
     and ``edge_color``, and ``out_ids[i]``, node i's outgoing edge ids
-    in ascending order.  The tables are never changed.
+    in ascending order.  The tables are never changed.  A colored
+    arena with chains builds them on first use (see ``ColoredArena``).
     The records ``nodes`` and ``edges`` are built from them on first
-    access; building them twice gives equal tuples, so threads sharing
-    an arena stay safe."""
+    access; building tables or records twice gives equal ones, so
+    threads sharing an arena stay safe."""
 
     def __init__(self, k, nodes, initial, edges):
         """Split the records into the loader's fields and check those."""
@@ -101,6 +124,14 @@ class _ArenaBase:
         file's, or those of a construction that keeps every invariant."""
         return _fill(cls.__new__(cls), k, node_ids, owners, initial,
                      node_index, edge_src, edge_color, edge_dst)
+
+    @cached_property
+    def contracted(self) -> ContractedGraph:
+        """The contracted graph: an arena's own tables unless it is a
+        colored arena with chains, which sets it when it is built."""
+        return ContractedGraph(self.node_ids, self.owners, self.node_index,
+                               self.out_ids, self.edge_src, self.edge_color,
+                               self.edge_dst, 0)
 
     @cached_property
     def nodes(self) -> tuple[Node, ...]:
@@ -212,7 +243,24 @@ class RawArena(_ArenaBase):
 
 
 class ColoredArena(_ArenaBase):
-    """A validated arena where every edge carries a color in 1..k."""
+    """A validated arena where every edge carries a color in 1..k.
+
+    An arena loaded or desugared from a file with uncolored edges holds
+    the file's checked tables and its contracted graph; its expanded
+    tables are built from the file's tables when one of them is first
+    asked for.  Every other arena is built on its expanded tables, which
+    are then its contracted graph too."""
+
+    def __getattr__(self, name):  # only called for a missing attribute
+        if name not in _EXPANDED:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        _fill(self, *_expanded(*self._file))
+        return self.__dict__[name]
+
+
+_EXPANDED = frozenset(("node_ids", "owners", "node_index", "out_ids",
+                       "edge_src", "edge_color", "edge_dst"))
 
 
 def desugar_uncolored(raw: RawArena) -> ColoredArena:
@@ -221,48 +269,74 @@ def desugar_uncolored(raw: RawArena) -> ColoredArena:
 
     A full chain traversal adds one occurrence of every color, so the
     expansion never disturbs color differences at chain boundaries.
-    More than ``MAX_CHAIN_NODES`` fresh nodes is a ``ValidationError``.
-    The raw arena was validated and the expansion keeps every invariant
-    (fresh ids are unique, each chain node has its one outgoing edge,
-    chain colors lie in 1..k), so the result is not validated again.
+    More than ``MAX_CHAIN_NODES`` fresh nodes is a ``ValidationError``,
+    raised here.  The raw arena was validated and the expansion keeps
+    every invariant (fresh ids are unique, each chain node has its one
+    outgoing edge, chain colors lie in 1..k), so the result is not
+    validated again.  The chains are expanded on first use of an
+    expanded table.
     """
-    return _expanded(raw.k, list(raw.node_ids), list(raw.owners),
-                     raw.initial, dict(raw.node_index), raw.edge_src,
-                     raw.edge_color, raw.edge_dst)
+    return _desugared(raw.k, raw.node_ids, raw.owners, raw.initial,
+                      raw.node_index, raw.edge_src, raw.edge_color,
+                      raw.edge_dst)
+
+
+def _desugared(k, node_ids, owners, initial, index, edge_src, colors,
+               edge_dst) -> ColoredArena:
+    """The colored arena of checked file tables.  Without uncolored
+    edges it is built on them; otherwise only its contracted graph is
+    built, and the tables are kept for the expansion.  In the expanded
+    edge list a chain's k edges follow from its head id, which is the
+    file edge id plus (k - 1) per uncolored edge before it."""
+    chains = colors.count(None)
+    if (k - 1) * chains > MAX_CHAIN_NODES:
+        raise ValidationError(
+            f"expanding the uncolored edges needs {(k - 1) * chains} "
+            f"chain nodes, more than the limit {MAX_CHAIN_NODES}")
+    tables = (k, node_ids, owners, initial, index, edge_src, colors,
+              edge_dst)
+    if not chains:
+        return ColoredArena.from_tables(*tables)
+    out_ids = [[] for _ in node_ids]
+    src, color, dst = {}, {}, {}
+    head = 0
+    for s, c, d in zip(edge_src, colors, edge_dst):
+        out_ids[s].append(head)
+        src[head], color[head], dst[head] = s, c or 0, d
+        head += 1 if c else k
+    arena = ColoredArena.__new__(ColoredArena)
+    arena.k, arena.initial, arena._file = k, initial, tables
+    arena.contracted = ContractedGraph(node_ids, owners, index, out_ids, src,
+                                       color, dst, chains)
+    return arena
 
 
 def _expanded(k, node_ids, owners, initial, index, edge_src, colors,
-              edge_dst) -> ColoredArena:
-    """``desugar_uncolored`` on checked tables, which it extends in
-    place: the chain nodes follow the file's nodes, chain by chain."""
+              edge_dst) -> tuple:
+    """The expanded tables of checked file tables, in the order
+    ``from_tables`` takes them; the chain nodes follow the file's nodes,
+    chain by chain.  The given tables are not changed."""
     uncolored = [eid for eid, c in enumerate(colors) if c is None]
-    if (k - 1) * len(uncolored) > MAX_CHAIN_NODES:
-        raise ValidationError(
-            f"expanding the uncolored edges needs {(k - 1) * len(uncolored)} "
-            f"chain nodes, more than the limit {MAX_CHAIN_NODES}")
-    if uncolored:
-        node = len(node_ids)
-        fresh = _chain_ids(uncolored, k, index)
-        index.update(zip(fresh, range(node, node + len(fresh))))
-        node_ids += fresh
-        owners += [0] * len(fresh)
-        src, color, dst = [], [], []
-        for eid, c in enumerate(colors):
-            if c is not None:
-                src.append(edge_src[eid])
-                color.append(c)
-                dst.append(edge_dst[eid])
-                continue
-            chain = range(node, node + k - 1)
-            node += k - 1
+    node = len(node_ids)
+    fresh = _chain_ids(uncolored, k, index)
+    index = dict(index)
+    index.update(zip(fresh, range(node, node + len(fresh))))
+    src, color, dst = [], [], []
+    for eid, c in enumerate(colors):
+        if c is not None:
             src.append(edge_src[eid])
-            src += chain
-            color += range(1, k + 1)
-            dst += chain
+            color.append(c)
             dst.append(edge_dst[eid])
-        edge_src, colors, edge_dst = src, color, dst
-    return ColoredArena.from_tables(k, node_ids, owners, initial, index,
-                                    edge_src, colors, edge_dst)
+            continue
+        chain = range(node, node + k - 1)
+        node += k - 1
+        src.append(edge_src[eid])
+        src += chain
+        color += range(1, k + 1)
+        dst += chain
+        dst.append(edge_dst[eid])
+    return (k, node_ids + fresh, owners + [0] * len(fresh), initial, index,
+            src, color, dst)
 
 
 def _chain_ids(uncolored: list[int], k: int, index: dict) -> list[str]:
@@ -322,10 +396,11 @@ def load_raw_arena(text: str) -> RawArena:
 
 
 def load_arena(text: str) -> ColoredArena:
-    """Parse, validate once and desugar an arena file, in one pass over
-    index tables; no node or edge record is built."""
-    return _expanded(*_checked_tables(*_parsed_fields(text),
-                                      allow_uncolored=True))
+    """Parse, validate once and desugar an arena file on index tables;
+    every check, the chain-node limit included, runs here.  No node or
+    edge record is built, and chains are expanded on first use."""
+    return _desugared(*_checked_tables(*_parsed_fields(text),
+                                       allow_uncolored=True))
 
 
 def serialize_arena(arena: ColoredArena) -> str:

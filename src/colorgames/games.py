@@ -5,18 +5,21 @@ These games are determined and the opponent never needs memory, so
 player 1 wins iff fixing some per-node edge choice leaves a pruned graph
 without a goal path.  The solver tries every choice table in
 lexicographic order; ``graphs.cached_decision`` looks each one's graph
-up by its canonical form, and only a miss is pruned and decided.
+up by its canonical form on the arena's contracted graph, and only a
+miss expands the arena's chains, prunes and decides.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import prod
 from typing import Iterator
 
 from . import graphs
-from .arena import ColoredArena, ContractError, Goal, RawArena
+from .arena import (ColoredArena, ContractedGraph, ContractError, Goal,
+                    RawArena)
 from .graphs import (GraphDecision, decide_balanced_path,
                      decide_bounded_path, decide_frequency_path)
 
@@ -39,24 +42,30 @@ class MemorylessStrategy:
 
 
 def count_strategies(arena: ColoredArena | RawArena) -> int:
-    return prod(len(out) for out, owner in zip(arena.out_ids, arena.owners)
+    graph = arena.contracted
+    return prod(len(out) for out, owner in zip(graph.out_ids, graph.owners)
                 if owner == 1)
 
 
 def enumerate_strategies(
         arena: ColoredArena | RawArena) -> Iterator[MemorylessStrategy]:
     """All choice tables in lexicographic (node index, edge index) order;
-    exactly one empty strategy when player 1 owns no node."""
-    players = [i for i, owner in enumerate(arena.owners) if owner == 1]
-    nodes = [arena.node_ids[i] for i in players]
-    for combo in itertools.product(*map(arena.out_ids.__getitem__, players)):
+    exactly one empty strategy when player 1 owns no node.  Read off the
+    contracted graph: chain nodes belong to player 0, and a node's
+    out-list there is its expanded one."""
+    graph = arena.contracted
+    players = [i for i, owner in enumerate(graph.owners) if owner == 1]
+    nodes = [graph.node_ids[i] for i in players]
+    for combo in itertools.product(*map(graph.out_ids.__getitem__, players)):
         yield MemorylessStrategy(tuple(zip(nodes, combo)))
 
 
 def prune(arena: ColoredArena, strategy: MemorylessStrategy) -> ColoredArena:
     """Keep only the strategy's edge at player-1 nodes, then restrict to
-    the part reachable from the initial node; built on the index tables,
-    nodes and edges in parent order."""
+    the part reachable from the initial node; built on the expanded
+    tables, nodes and edges in parent order.  A chain is kept whole or
+    not at all, and the pruned arena's contracted graph keeps the
+    parent's chains that it reaches."""
     chosen = strategy.as_dict()
     table = {}
     for i, owner in enumerate(arena.owners):
@@ -74,12 +83,28 @@ def prune(arena: ColoredArena, strategy: MemorylessStrategy) -> ColoredArena:
     nodes = sorted({src[eid] for eid in kept})
     pos = {v: i for i, v in enumerate(nodes)}
     node_ids = [arena.node_ids[v] for v in nodes]
-    return ColoredArena.from_tables(
+    pruned = ColoredArena.from_tables(
         arena.k, node_ids, [arena.owners[v] for v in nodes], arena.initial,
         dict(zip(node_ids, range(len(nodes)))),
         [pos[src[eid]] for eid in kept],
         [arena.edge_color[eid] for eid in kept],
         [pos[dst[eid]] for eid in kept])
+    graph = arena.contracted
+    if graph.chains:  # kept file nodes come first, as in the parent
+        files = bisect_left(nodes, len(graph.node_ids))
+        heads = {i: eid for i, eid in enumerate(kept)
+                 if eid in graph.edge_src}
+        out_ids = [[] for _ in range(files)]
+        for i, eid in heads.items():
+            out_ids[pos[graph.edge_src[eid]]].append(i)
+        colors = {i: graph.edge_color[eid] for i, eid in heads.items()}
+        pruned.contracted = ContractedGraph(
+            node_ids[:files], pruned.owners[:files],
+            dict(zip(node_ids[:files], range(files))), out_ids,
+            {i: pos[graph.edge_src[eid]] for i, eid in heads.items()}, colors,
+            {i: pos[graph.edge_dst[eid]] for i, eid in heads.items()},
+            list(colors.values()).count(0))
+    return pruned
 
 
 @dataclass(frozen=True)

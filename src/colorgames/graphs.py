@@ -17,7 +17,8 @@ witness walk; failing that, edges that cannot carry load in any
 zero-difference circulation are pruned and the survivors regrouped.
 
 The deciders are pure.  ``cached_decision`` is the one cache entry: it
-keys a decision by the goal's rates and the graph's canonical form.
+keys a decision by the goal's rates and the canonical form of the
+arena's contracted graph, where each desugared chain is one edge.
 """
 
 from __future__ import annotations
@@ -537,13 +538,15 @@ def is_zero_diff_cycle(path: FinitePath, k: int) -> bool:
 
 def reachable_canonical_form(arena: ColoredArena,
                              choice: dict[str, int] | None = None):
-    """Relabel the part of the arena reachable from its initial node by a
-    breadth-first traversal with color-sorted adjacency.
+    """Relabel the part of the arena's contracted graph reachable from
+    its initial node by a breadth-first traversal with color-sorted
+    adjacency; a chain is one row ``(src, 0, dst)`` and is listed in the
+    order by its head's edge id.
 
-    Equal forms imply isomorphic reachable subgraphs (label 0 is the
-    initial node, colors are preserved), so decisions and witnesses
-    transfer between arenas with equal forms through the returned edge
-    order.
+    Equal forms imply isomorphic reachable subgraphs, contracted and
+    expanded (label 0 is the initial node, colors are preserved, k is in
+    the key), so decisions and witnesses transfer between arenas with
+    equal forms through the returned edge order.
 
     ``choice`` maps nodes to the one outgoing edge kept there, as
     ``MemorylessStrategy.as_dict()`` does for player-1 nodes.  The form
@@ -551,9 +554,10 @@ def reachable_canonical_form(arena: ColoredArena,
     the same edges by their ids in ``arena``: pruning keeps edges in
     parent order, so every tie-break by edge index agrees.
     """
-    node_ids, out_ids = arena.node_ids, arena.out_ids
-    dst_of, color_of = arena.edge_dst, arena.edge_color
-    queue = [arena.node_index[arena.initial]]
+    graph = arena.contracted
+    node_ids, out_ids = graph.node_ids, graph.out_ids
+    dst_of, color_of = graph.edge_dst, graph.edge_color
+    queue = [graph.node_index[arena.initial]]
     label = [-1] * len(node_ids)
     label[queue[0]] = 0
     rows: list[tuple[int, int, int, int]] = []
@@ -603,10 +607,11 @@ def cached_decision(cache: dict, arena: ColoredArena,
     canonical form (see ``reachable_canonical_form``).
 
     A hit is restored onto the canonical edge order and re-checked
-    exactly on the arena's index tables; its witness records are built
-    from the checked edge ids only when ``witness`` is set, and without
-    it the hit carries the verdict alone.  A miss stores the computed
-    witness by canonical positions.
+    exactly on the contracted graph, so it expands no chain; without
+    ``witness`` it carries the verdict alone.  With ``witness`` the
+    checked edges are expanded into records, and each loop and the
+    bounded walk start at a node of the file, never inside a chain.  A
+    miss stores the computed witness by canonical positions.
     """
     ckey, order = reachable_canonical_form(arena, choice)
     key = (*decision_key_prefix(rates), ckey)
@@ -618,25 +623,32 @@ def cached_decision(cache: dict, arena: ColoredArena,
     found = _checked_hit(arena, order, stored, rates)
     if found is None or not witness:
         return GraphDecision(found is not None)
-    edges = arena.edges
+    edges, k, color = arena.edges, arena.k, arena.contracted.edge_color
+
+    def path(ids):
+        return FinitePath(edges[j] for i in ids
+                          for j in (range(i, i + k) if color[i] == 0 else (i,)))
     if rates is None:
-        return GraphDecision(True, FinitePath(map(edges.__getitem__, found)))
+        return GraphDecision(True, path(found))
     return GraphDecision(True, LoopSet(tuple(
-        (FinitePath(map(edges.__getitem__, ids)), c) for ids, c in found)))
+        (path(ids), c) for ids, c in found)))
 
 
 def _checked_hit(arena, order, stored, rates):
-    """A stored witness as edge ids of ``arena``, checked exactly on its
-    tables, or None for a stored "no".  The bounded walk, and each loop
-    of a loop set, must be a nonempty closed walk, each loop simple; the
-    color counts, summed with the loops' multiplicities, must grow at
-    the target rates, or at equal rates for the bounded walk."""
+    """A stored witness as edge ids of ``arena``'s contracted graph,
+    checked exactly on it, or None for a stored "no".  The bounded walk,
+    and each loop of a loop set, must be a nonempty closed walk, each
+    loop simple; the color counts, summed with the loops' multiplicities,
+    must grow at the target rates, or at equal rates for the bounded
+    walk.  A chain counts k edges and one of every color, and a loop is
+    simple iff its expansion is."""
     exists, payload = stored
     if not exists:
         return None
     loops = rates is not None
-    src, dst, color = arena.edge_src, arena.edge_dst, arena.edge_color
-    counts, total, found = [0] * arena.k, 0, []
+    graph = arena.contracted
+    src, dst, color = graph.edge_src, graph.edge_dst, graph.edge_color
+    counts, total, found = [0] * (arena.k + 1), 0, []
     for positions, times in payload if loops else [(payload, 1)]:
         ids = [order[i] for i in positions]
         starts = [src[i] for i in ids]
@@ -646,12 +658,14 @@ def _checked_hit(arena, order, stored, rates):
         if loops and len(set(starts)) < len(ids):
             raise InternalCheckError("cached loop is not a simple cycle")
         for i in ids:
-            counts[color[i] - 1] += times
+            counts[color[i]] += times
         total += times * len(ids)
         found.append((ids, times))
+    chains = counts[0]  # marker color 0
+    total += (arena.k - 1) * chains
     rates = rates or FrequencyVector.uniform(arena.k)
-    if total <= 0 or any(rates.den * n != p * total
-                         for n, p in zip(counts, rates.nums)):
+    if total <= 0 or any(rates.den * (n + chains) != p * total
+                         for n, p in zip(counts[1:], rates.nums)):
         raise InternalCheckError("cached witness does not match the goal's "
                                  "rates")
     return found if loops else found[0][0]
@@ -661,18 +675,20 @@ def _store_decision(arena, order, decision):
     """Witness edges as positions in the canonical order: per loop for a
     loop set, along the walk for a bounded witness.  Parallel edges with
     equal (source, color, target) are interchangeable in every decision
-    and witness property, so each maps to the first such position."""
+    and witness property, so each maps to the first such position.  A
+    chain is stored by its head, and the edges that leave chain nodes
+    are dropped, so each stored walk starts at a node of the file."""
     if not decision.exists:
         return (False, None)
     src, color, dst = arena.edge_src, arena.edge_color, arena.edge_dst
     pos: dict[tuple, int] = {}
     for i, eid in enumerate(order):
         pos.setdefault((src[eid], color[eid], dst[eid]), i)
-    index = arena.node_index
+    index, files = arena.node_index, len(arena.contracted.node_ids)
 
     def positions(path):
-        return tuple(pos[(index[e.src], e.color, index[e.dst])]
-                     for e in path.edges)
+        rows = [(index[e.src], e.color, index[e.dst]) for e in path.edges]
+        return tuple(pos[row] for row in rows if row[0] < files)
     witness = decision.witness
     if isinstance(witness, LoopSet):
         return (True, tuple((positions(path), c)

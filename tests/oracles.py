@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -595,7 +596,8 @@ def reference_prune(arena: ColoredArena,
                     strategy: MemorylessStrategy) -> ColoredArena:
     """The pruned arena built from records: a BFS by node ids that keeps
     only the strategy's edge at player-1 nodes, then the reached nodes
-    and edges in parent order, through the validating constructor."""
+    and edges in parent order, through the validating constructor.  A
+    raw arena is pruned as its file: its uncolored edges stay."""
     chosen = strategy.as_dict()
     out: dict[str, list[int]] = {}
     for eid, e in enumerate(arena.edges):
@@ -607,9 +609,9 @@ def reference_prune(arena: ColoredArena,
             if arena.edges[eid].dst not in seen:
                 seen.add(arena.edges[eid].dst)
                 queue.append(arena.edges[eid].dst)
-    return ColoredArena(arena.k, [nd for nd in arena.nodes if nd.id in seen],
-                        arena.initial,
-                        [arena.edges[eid] for eid in sorted(kept)])
+    return type(arena)(arena.k, [nd for nd in arena.nodes if nd.id in seen],
+                       arena.initial,
+                       [arena.edges[eid] for eid in sorted(kept)])
 
 
 def reference_canonical_form(arena: ColoredArena,
@@ -641,6 +643,94 @@ def reference_canonical_form(arena: ColoredArena,
     rows.sort()
     key = (arena.k, len(label), tuple(row[:3] for row in rows))
     return key, [row[3] for row in rows]
+
+
+def expanded_edge_ids(raw: RawArena) -> list[int]:
+    """Per file edge, its id in the desugared arena's edge list, where
+    each uncolored edge's chain of k edges starts: its file id plus
+    k - 1 per uncolored edge before it."""
+    out, before = [], 0
+    for eid, e in enumerate(raw.edges):
+        out.append(eid + (raw.k - 1) * before)
+        before += e.color is None
+    return out
+
+
+def reference_contracted_canonical_form(raw: RawArena,
+                                        choice: dict[str, int] | None = None):
+    """The canonical form of ``desugar_uncolored(raw)`` on its contracted
+    graph, read off the file: a BFS by node ids over the file's edges in
+    which an uncolored edge is one row of color 0, each edge listed by
+    its expanded id.  ``choice`` maps nodes to expanded edge ids."""
+    edges, expanded = raw.edges, expanded_edge_ids(raw)
+    file_of = {x: eid for eid, x in enumerate(expanded)}
+    out: dict[str, list[int]] = {}
+    for eid, e in enumerate(edges):
+        out.setdefault(e.src, []).append(eid)
+
+    def color(eid):
+        return edges[eid].color or 0
+    label: dict[str, int] = {raw.initial: 0}
+    queue = [raw.initial]
+    rows: list[tuple[int, int, int, int]] = []
+    for u in queue:
+        src = label[u]
+        eid = choice.get(u) if choice else None
+        if eid is None:
+            outs = sorted(out[u], key=color)
+        elif file_of.get(eid) not in out[u]:
+            raise ContractError(f"choice maps {u!r} to a foreign edge")
+        else:
+            outs = [file_of[eid]]
+        for i in outs:
+            e = edges[i]
+            dst = label.get(e.dst)
+            if dst is None:
+                dst = label[e.dst] = len(label)
+                queue.append(e.dst)
+            rows.append((src, color(i), dst, expanded[i]))
+    rows.sort()
+    key = (raw.k, len(label), tuple(row[:3] for row in rows))
+    return key, [row[3] for row in rows]
+
+
+# --- exact witness checks ------------------------------------------------------
+
+
+def _is_closed_walk(arena: ColoredArena, path: FinitePath) -> bool:
+    """A nonempty walk over edges of ``arena`` that ends where it
+    starts, checked on records."""
+    edges = path.edges
+    known = set(arena.edges)
+    return (len(edges) > 0 and all(e in known for e in edges)
+            and all(a.dst == b.src for a, b in zip(edges, edges[1:]))
+            and edges[-1].dst == edges[0].src)
+
+
+def loop_set_is_exact(arena: ColoredArena, loop_set,
+                      rates: FrequencyVector) -> bool:
+    """Every loop is a simple cycle of ``arena`` with a positive integer
+    multiplicity, and the combined color counts over the combined length
+    are exactly the target rates, in Fractions."""
+    counts, total = [0] * arena.k, 0
+    for path, times in loop_set.loops:
+        starts = [e.src for e in path.edges]
+        if (not _is_closed_walk(arena, path) or len(set(starts)) < len(starts)
+                or type(times) is not int or times < 1):
+            return False
+        for e in path.edges:
+            counts[e.color - 1] += times
+        total += times * len(path.edges)
+    return total > 0 and all(Fraction(c, total) == r
+                             for c, r in zip(counts, rates.values))
+
+
+def bounded_walk_is_exact(arena: ColoredArena, walk: FinitePath) -> bool:
+    """A closed walk of ``arena`` that sees every color equally often, so
+    that repeating it keeps every color difference bounded."""
+    counts = Counter(e.color for e in walk.edges)
+    return (_is_closed_walk(arena, walk)
+            and all(counts[c] == counts[1] for c in range(1, arena.k + 1)))
 
 
 # --- the game loop ------------------------------------------------------------

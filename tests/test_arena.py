@@ -91,17 +91,20 @@ def _forbid_chain_nodes(monkeypatch):
 
 
 def test_desugar_rejects_expansion_above_limit(monkeypatch):
-    # (k - 1) * uncolored just above the limit is refused before any
-    # chain node is made; at the limit, expansion starts and trips the
-    # guard, which shows that the guard sees what expansion calls
+    # (k - 1) * uncolored just above the limit is refused by the desugar
+    # call itself, before any chain node is made; at the limit, the call
+    # makes none either, and the first use of an expanded table starts
+    # the expansion and trips the guard, which shows that the guard sees
+    # what expansion calls
     k = 12
     at_limit = MAX_CHAIN_NODES // (k - 1)
     within, above = (RawArena(k, [Node("a", 0)], "a",
                               [Edge("a", None, "a")] * uncolored)
                      for uncolored in (at_limit, at_limit + 1))
     _forbid_chain_nodes(monkeypatch)
+    desugared = desugar_uncolored(within)
     with pytest.raises(AssertionError, match="chain node was made"):
-        desugar_uncolored(within)
+        desugared.node_ids
     with pytest.raises(ValidationError, match="chain nodes"):
         desugar_uncolored(above)
 
@@ -112,8 +115,9 @@ def test_load_arena_rejects_expansion_above_limit(monkeypatch):
         return arena_text(MAX_COLORS, [("a", 0)], "a",
                           [("a", None, "a")] * uncolored)
     _forbid_chain_nodes(monkeypatch)
+    loaded = load_arena(text(392))  # makes no chain node
     with pytest.raises(AssertionError, match="chain node was made"):
-        load_arena(text(392))
+        loaded.edge_src
     with pytest.raises(ValidationError, match="100215 chain nodes"):
         load_arena(text(393))
 
@@ -210,6 +214,25 @@ def test_table_loading_matches_records_and_reference(k):
     assert len(loaded.node_ids) == 3 + 3 * (k - 1)
 
 
+def test_expansion_is_idempotent_and_keeps_the_file_tables():
+    # chains are expanded from the file's tables on first use; expanding
+    # again, or desugaring the same raw arena twice, gives equal tables
+    # and leaves the raw arena's tables as they were
+    rng = random.Random(57)
+    expanded = 0
+    for _ in range(100):
+        text = random_raw_arena(rng).to_json()
+        raw = load_raw_arena(text)
+        first, second = desugar_uncolored(raw), desugar_uncolored(raw)
+        fields = arena_fields(first)
+        if first.contracted.chains:
+            expanded += 1
+            arena_module._fill(first, *arena_module._expanded(*first._file))
+        assert arena_fields(first) == arena_fields(second) == fields
+        assert arena_fields(raw) == arena_fields(load_raw_arena(text))
+    assert expanded > 50
+
+
 def _broken_texts(rng):
     """One text per error kind, each made from a seeded valid arena."""
     base = random_raw_arena(rng).to_json_dict()
@@ -268,6 +291,20 @@ def test_load_arena_errors_match_two_step_reference():
             assert _failure(load_arena, text) == failure
             if "chain nodes" not in failure[1]:
                 assert _failure(load_raw_arena, text) == failure
+
+
+def test_load_arena_raises_every_error_before_expanding(monkeypatch):
+    # chains are expanded on first use, so every load-time error, the
+    # chain-node limit included, must come from load_arena itself: with
+    # the expansion made to fail, each broken text fails as the
+    # reference says and each valid one loads
+    monkeypatch.setattr(arena_module, "_expanded", None)
+    rng = random.Random(61)
+    for _ in range(40):
+        valid = random_raw_arena(rng).to_json()
+        for text in [valid, *_broken_texts(rng)]:
+            assert _failure(load_arena, text) == \
+                _failure(reference_load_arena, text)
 
 
 def test_node_and_edge_stay_frozen_records():

@@ -257,6 +257,25 @@ def test_solve_report_does_not_grow_with_the_strategies(tmp_path, capsys):
     assert len(out.encode()) < 2048
 
 
+@pytest.mark.parametrize("dimacs, code", [
+    ("p cnf 1 1\n1 -1 0\n", 0), ("p cnf 1 1\n1 0\n", 1),
+    ("p cnf 2 2\n1 2 0\n-1 0\n", 1)])
+def test_solve_raw_and_desugared_files_agree(tmp_path, capsys, dimacs, code):
+    # a file with uncolored edges and its desugared form, whose chains
+    # are explicit edges: one JSON report each, with the same result
+    raw = colorgames.cnf_to_raw_arena(colorgames.parse_dimacs(dimacs))
+    results = []
+    for name, text in (("raw", raw.to_json()),
+                       ("desugared", raw.desugar().to_json())):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        got, report = run_cli(capsys, "solve", "--arena", str(path),
+                              "--goal", "bounded")
+        assert got == code
+        results.append(report["result"])
+    assert results[0] == results[1]
+
+
 def test_solve_cnf_single_clause_player1(tmp_path, capsys):
     dimacs = tmp_path / "x.cnf"
     dimacs.write_text("p cnf 1 1\n1 0\n")

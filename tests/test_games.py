@@ -6,16 +6,23 @@ import json
 import pytest
 
 from colorgames import (ColoredArena, ContractError, Edge, FrequencyVector,
-                        Goal, InternalCheckError, StrategyBudgetError,
-                        cnf_to_arena, count_strategies, decide_balanced_path,
+                        Goal, InternalCheckError, RawArena,
+                        StrategyBudgetError, cnf_to_arena, cnf_to_raw_arena,
+                        count_strategies, decide_balanced_path,
                         decide_winner, enumerate_strategies, games,
                         graph_decide, graphs, load_arena, prune,
                         serialize_arena)
+from colorgames import arena as arena_module
+from colorgames.arena import _EXPANDED
 from colorgames.graphs import reachable_canonical_form
 from builders import TWO_LOOPS, build_arena
-from oracles import (arena_fields, random_connected_arena, random_formula,
-                     reference_canonical_form, reference_decide_winner,
-                     reference_prune, reference_tables)
+from oracles import (arena_fields, bounded_walk_is_exact, expanded_edge_ids,
+                     loop_set_is_exact, random_connected_arena,
+                     random_formula, random_raw_arena,
+                     reference_canonical_form,
+                     reference_contracted_canonical_form,
+                     reference_decide_winner, reference_prune,
+                     reference_tables)
 from colorgames import CnfFormula
 
 import random
@@ -212,12 +219,22 @@ def _pruned_form(arena, strategy):
     return key, [pruned.edges[i].triple() for i in order]
 
 
-def _seeded_game_arenas(seed):
+def _seeded_raw_games(seed):
+    """Files of seeded games: 30 CNF arenas with uncolored edges, then
+    120 random two-player arenas."""
     rng = random.Random(seed)
     for _ in range(30):
-        yield cnf_to_arena(random_formula(rng, max_vars=3, max_clauses=3))
+        yield cnf_to_raw_arena(random_formula(rng, max_vars=3,
+                                              max_clauses=3))
     for _ in range(120):
-        yield random_connected_arena(rng, two_player=True)
+        arena = random_connected_arena(rng, two_player=True)
+        yield RawArena(arena.k, arena.nodes, arena.initial, arena.edges)
+
+
+def _seeded_game_arenas(seed):
+    """The games of ``_seeded_raw_games``, loaded from their raw text."""
+    for raw in _seeded_raw_games(seed):
+        yield load_arena(raw.to_json())
 
 
 def test_parent_canonical_form_matches_pruned_arena():
@@ -228,23 +245,126 @@ def test_parent_canonical_form_matches_pruned_arena():
 
 
 def test_canonical_form_matches_id_based_reference():
-    # on loaded, pruned and directly constructed arenas, for every
-    # strategy: the same key and edge order as the BFS by node ids
-    for arena in _seeded_game_arenas(707):
+    # for every strategy, the same key and edge order as a BFS by node
+    # ids: on arenas loaded from raw text and on their pruned arenas, the
+    # BFS that reads chains off the file (pruned by the reference); on
+    # arenas whose chains are explicit edges, loaded or directly
+    # constructed, the BFS over the expanded edges
+    for raw in _seeded_raw_games(707):
+        arena = load_arena(raw.to_json())
         loaded = load_arena(serialize_arena(arena))
         direct = ColoredArena(arena.k, arena.nodes, arena.initial,
                               arena.edges)
-        for strategy in enumerate_strategies(arena):
+        for strategy, on_file in zip(enumerate_strategies(arena),
+                                     enumerate_strategies(raw)):
             choice = strategy.as_dict()
-            for a in (arena, loaded, direct):
+            assert reachable_canonical_form(arena, choice) == \
+                reference_contracted_canonical_form(raw, choice)
+            for a in (loaded, direct):
                 assert reachable_canonical_form(a, choice) == \
                     reference_canonical_form(a, choice)
             pruned = prune(arena, strategy)
+            assert pruned == prune(loaded, strategy)
             assert arena_fields(pruned) == {
                 **arena_fields(pruned),
                 **reference_tables(pruned.nodes, pruned.edges)}
             assert reachable_canonical_form(pruned) == \
-                reference_canonical_form(pruned)
+                reference_contracted_canonical_form(
+                    reference_prune(raw, on_file))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_contracted_form_covers_chain_corner_cases(k):
+    # a chain of one edge and no fresh node at k = 1, parallel uncolored
+    # edges, an uncolored self-loop, and a file node named @0.1, so that
+    # edge 0's first chain node is _@0.1
+    raw = build_arena(k, [("@0.1", None, "u"), ("@0.1", 1, "u"),
+                          ("u", None, "v"), ("u", None, "v"),
+                          ("v", None, "v"), ("v", 1, "@0.1"),
+                          ("u", 1, "@0.1")],
+                      owners={"@0.1": 1, "v": 1}, cls=RawArena)
+    arena = load_arena(raw.to_json())
+    for strategy, on_file in zip(enumerate_strategies(arena),
+                                 enumerate_strategies(raw)):
+        choice = strategy.as_dict()
+        assert reachable_canonical_form(arena, choice) == \
+            reference_contracted_canonical_form(raw, choice)
+        assert reachable_canonical_form(prune(arena, strategy)) == \
+            reference_contracted_canonical_form(
+                reference_prune(raw, on_file))
+        assert _parent_form(arena, strategy) == _pruned_form(arena, strategy)
+    assert count_strategies(arena) == 4
+    assert ("_@0.1" in arena.node_index) == (k > 1)
+    assert len(arena.edge_src) == 7 + 4 * (k - 1)
+
+
+def _shuffled_file(raw, rng):
+    """The same file with renamed nodes, and nodes and edges shuffled."""
+    nodes = list(raw.nodes)
+    rng.shuffle(nodes)
+    name = {nd.id: f"m{i}" for i, nd in enumerate(nodes)}
+    edges = [Edge(name[e.src], e.color, name[e.dst]) for e in raw.edges]
+    rng.shuffle(edges)
+    return RawArena(raw.k, [type(nd)(name[nd.id], nd.owner) for nd in nodes],
+                    name[raw.initial], edges)
+
+
+def _expanded_order(raw, order):
+    """A canonical order's expanded edge ids: a chain's k edges from its
+    head id, with the heads read off the file."""
+    heads = {x for x, e in zip(expanded_edge_ids(raw), raw.edges)
+             if e.color is None}
+    return [j for i in order
+            for j in (range(i, i + raw.k) if i in heads else (i,))]
+
+
+def _reachable_edge_ids(arena, choice):
+    """Expanded edge ids reachable from the initial node, by node ids."""
+    out = {}
+    for eid, e in enumerate(arena.edges):
+        out.setdefault(e.src, []).append(eid)
+    seen, queue, kept = {arena.initial}, [arena.initial], []
+    for u in queue:
+        for eid in [choice[u]] if u in choice else out[u]:
+            kept.append(eid)
+            if arena.edges[eid].dst not in seen:
+                seen.add(arena.edges[eid].dst)
+                queue.append(arena.edges[eid].dst)
+    return sorted(kept)
+
+
+def test_equal_contracted_keys_match_expanded_graphs_edge_for_edge():
+    # each order, its chains expanded, lists exactly the reachable
+    # expanded edges; under equal keys two such lists match edge for
+    # edge: equal colors, through one injective node map that sends the
+    # initial node to the initial node
+    rng = random.Random(727)
+    raws = [cnf_to_raw_arena(random_formula(rng, max_vars=3, max_clauses=3))
+            for _ in range(20)]
+    raws += [random_raw_arena(rng) for _ in range(60)]
+    raws += [_shuffled_file(raw, rng) for raw in raws]
+    first, compared = {}, 0
+    for raw in raws:
+        arena = load_arena(raw.to_json())
+        for strategy in enumerate_strategies(arena):
+            choice = strategy.as_dict()
+            key, order = reachable_canonical_form(arena, choice)
+            ids = _expanded_order(raw, order)
+            assert sorted(ids) == _reachable_edge_ids(arena, choice)
+            if key not in first:
+                first[key] = arena, ids
+                continue
+            other, other_ids = first[key]
+            assert len(other_ids) == len(ids)
+            node_map = {other.initial: arena.initial}
+            for a, b in zip(other_ids, ids):
+                ea, eb = other.edges[a], arena.edges[b]
+                assert ea.color == eb.color
+                assert node_map.setdefault(ea.src, eb.src) == eb.src
+                assert node_map.setdefault(ea.dst, eb.dst) == eb.dst
+            assert len(set(node_map.values())) == len(node_map)
+            compared += 1
+    assert compared > 300
 
 
 def test_foreign_choices_fail_where_the_reference_fails():
@@ -399,3 +519,117 @@ def test_warm_cache_sweep_builds_no_records(monkeypatch):
     assert again == warm and len(cache) == size
     for arena in arenas:
         assert "nodes" not in vars(arena) and "edges" not in vars(arena)
+
+
+# p chooses between two edges into the cycle a ==> b -1-> c -2-> a, whose
+# chain a ==> b (colors 1, 2) has a parallel a -1-> b edge; only loops
+# through the chain balance the colors
+_CHAIN_TAMPER_ARENA = [("p", 1, "a"), ("p", 2, "a"), ("a", None, "b"),
+                       ("a", 1, "b"), ("b", 1, "c"), ("c", 2, "a")]
+
+
+def _tampered_chain(payload, chain, twin, how, bounded):
+    """A stored witness changed by ``how``: its first two positions
+    swapped, the chain's position dropped, the chain replaced by its
+    parallel colored edge, or the walk run twice."""
+    def walk(positions):
+        assert chain in positions
+        if how == "swap":
+            return (positions[1], positions[0], *positions[2:])
+        if how == "drop":
+            return tuple(i for i in positions if i != chain)
+        if how == "twice":
+            return positions * 2
+        return tuple(twin if i == chain else i for i in positions)
+    return walk(payload) if bounded else tuple(
+        (walk(positions), c) for positions, c in payload)
+
+
+@pytest.mark.parametrize("how", ["swap", "drop", "color", "twice"])
+@pytest.mark.parametrize("goal", [Goal.balanced(), Goal.bounded()])
+def test_tampered_chain_hits_fail_the_table_check(goal, how):
+    # a loop run twice is not simple; a bounded walk run twice is still
+    # a witness, so that hit must pass
+    bounded = goal.kind == "bounded"
+    for triples in (_CHAIN_TAMPER_ARENA, _CHAIN_TAMPER_ARENA[2:]):
+        raw = build_arena(2, triples, owners={"p": 1}, cls=RawArena)
+        game = triples[0][0] == "p"
+        cache = {}
+
+        def decide():
+            arena = load_arena(raw.to_json())
+            if game:
+                return decide_winner(arena, goal, cache=cache).winner == 0
+            return graph_decide(arena, goal, cache).exists
+        assert decide()
+        arena = load_arena(raw.to_json())
+        head, twin = (expanded_edge_ids(raw)[triples.index(t)]
+                      for t in (("a", None, "b"), ("a", 1, "b")))
+        prefix = graphs.decision_key_prefix(goal.rates(2))
+        choices = [s.as_dict() for s in enumerate_strategies(arena)]
+        for choice in choices if game else [None]:
+            ckey, order = reachable_canonical_form(arena, choice)
+            exists, payload = cache[(*prefix, ckey)]
+            assert exists
+            cache[(*prefix, ckey)] = (True, _tampered_chain(
+                payload, order.index(head), order.index(twin), how,
+                bounded))
+        if how == "twice" and bounded:
+            assert decide()
+            continue
+        with pytest.raises(InternalCheckError, match="^cached "):
+            decide()
+
+
+def test_warm_cache_sweep_on_raw_texts_expands_no_arena(monkeypatch):
+    # the raw-text twin of the sweep above, with the text a client sends:
+    # a second sweep over freshly loaded arenas hits on every strategy
+    # and neither expands a chain nor builds a record
+    rng = random.Random(919)
+    texts = [cnf_to_raw_arena(random_formula(
+        rng, max_vars=3, max_clauses=3)).to_json() for _ in range(40)]
+    goals = (Goal.balanced(), Goal.bounded())
+    cache = {}
+    warm = [decide_winner(load_arena(t), g, cache=cache)
+            for t in texts for g in goals]
+    size = len(cache)
+    monkeypatch.setattr(games, "graph_decide", None)  # a miss would fail
+    monkeypatch.setattr(arena_module, "_expanded", None)  # so would this
+    arenas = [load_arena(t) for t in texts]
+    again = [decide_winner(a, g, cache=cache) for a in arenas for g in goals]
+    assert again == warm and len(cache) == size
+    for arena in arenas:
+        assert arena.contracted.chains > 0
+        assert not vars(arena).keys() & {"nodes", "edges", *_EXPANDED}
+
+
+def test_restored_one_player_witnesses_pass_the_exact_checks():
+    # one-player hits restored with their witness, on arenas loaded from
+    # raw text and on renamed, shuffled copies of them: every loop set
+    # and bounded walk passes the exact record checks, each loop and
+    # walk starts at a node of the file, and the verdict is the fresh one
+    rng = random.Random(929)
+    raws = [cnf_to_raw_arena(random_formula(rng, max_vars=3, max_clauses=3))
+            for _ in range(15)]
+    raws += [random_raw_arena(rng) for _ in range(60)]
+    goals = (Goal.balanced(), Goal.bounded())
+    cache, restored = {}, 0
+    for raw in raws + [_shuffled_file(raw, rng) for raw in raws]:
+        files = {nd.id for nd in raw.nodes}
+        for goal in goals:
+            arena = load_arena(raw.to_json())
+            size = len(cache)
+            decision = graph_decide(arena, goal, cache)
+            assert decision.exists == graph_decide(arena, goal).exists
+            if not decision.exists or len(cache) > size:
+                continue
+            restored += 1
+            if goal.kind == "bounded":
+                assert bounded_walk_is_exact(arena, decision.witness)
+                assert decision.witness.start in files
+            else:
+                assert loop_set_is_exact(arena, decision.witness,
+                                         goal.rates(arena.k))
+                assert all(path.start in files
+                           for path, _ in decision.witness.loops)
+    assert restored > 50

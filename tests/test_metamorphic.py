@@ -8,10 +8,12 @@ from collections import Counter
 from fractions import Fraction
 
 from colorgames import (ColoredArena, Edge, FrequencyVector, Goal, Node,
-                        RawArena, cnf_to_arena, decide_balanced_path,
-                        decide_bounded_path, decide_frequency_path,
-                        decide_winner,
-                        is_zero_diff_cycle, loop_ratio_matches)
+                        RawArena, cnf_to_arena, cnf_to_raw_arena,
+                        decide_balanced_path, decide_bounded_path,
+                        decide_frequency_path, decide_winner,
+                        is_zero_diff_cycle, load_arena, loop_ratio_matches,
+                        serialize_arena)
+from colorgames.games import graph_decide
 from oracles import (random_connected_arena, random_formula,
                      random_raw_arena, reference_decide_winner)
 
@@ -216,3 +218,33 @@ def test_uncolored_expansion_keeps_every_answer():
             assert decide_winner(again, goal).winner == \
                 decide_winner(arena, goal).winner, goal.kind
     assert folded_total > 100
+
+
+def test_contracted_and_explicit_chains_decide_alike():
+    # loading the raw text keeps each chain one edge of the contracted
+    # graph, loading the desugared text makes its edges explicit, so
+    # their cache keys differ by design; the game result (winner,
+    # witness, explored) and the one-player verdicts must not, cold or
+    # through one cache shared by both
+    rng = random.Random(519)
+    raws = [cnf_to_raw_arena(random_formula(rng, max_vars=3, max_clauses=3))
+            for _ in range(20)]
+    raws += [random_raw_arena(rng) for _ in range(80)]
+    cache: dict = {}
+    chained = 0
+    for raw in raws:
+        contracted = load_arena(raw.to_json())
+        explicit = load_arena(serialize_arena(load_arena(raw.to_json())))
+        chained += contracted.contracted.chains > 0
+        freq = FREQ.get(raw.k, FrequencyVector.uniform(raw.k))
+        assert one_player_answers(contracted, freq) == \
+            one_player_answers(explicit, freq)
+        for goal in goals_for(explicit):
+            results = {(r.winner, r.witness, r.explored) for r in (
+                decide_winner(a, goal, cache=c)
+                for a in (contracted, explicit) for c in (None, cache))}
+            assert len(results) == 1, goal.kind
+            verdicts = {graph_decide(a, goal, cache).exists
+                        for a in (contracted, explicit)}
+            assert verdicts == {graph_decide(explicit, goal).exists}
+    assert chained > 60

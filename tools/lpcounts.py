@@ -14,7 +14,11 @@ bounded goal's cover solves and full-support solves, and how many
 full-support solves were feasible; a checkout without
 ``_LimitProblem.solve_full_support`` reports zero full-support solves.
 Decision cache lookups are calls of ``graphs.cached_decision``, whose
-first argument is the cache; a lookup that grows the cache is a miss.
+first argument is the cache; a lookup that grows the cache is a miss,
+and ``miss_requests`` counts the requests with at least one.
+``expansions`` counts the arenas whose uncolored-edge chains were
+expanded, as calls of ``arena._chain_ids``, which every expansion with
+a chain makes once.
 """
 
 from __future__ import annotations
@@ -57,7 +61,8 @@ def main() -> int:
                             "node_records", "edge_records",
                             "cover_solves", "full_support_solves",
                             "full_support_feasible", "cache_lookups",
-                            "cache_misses"), 0)
+                            "cache_misses", "miss_requests",
+                            "expansions"), 0)
     graphs, lp = lib.graphs, lib.lp
     state = {"factoring": False}
     solve, pivot = graphs.solve_feasibility, lp._pivot
@@ -87,6 +92,13 @@ def main() -> int:
         counts["cache_misses"] += len(cache) > size
         return decision
 
+    chain_ids = lib.arena._chain_ids
+
+    def counted_chain_ids(*a):
+        counts["expansions"] += 1
+        return chain_ids(*a)
+
+    lib.arena._chain_ids = counted_chain_ids
     graphs.solve_feasibility, lp._pivot = counted_solve, counted_pivot
     graphs._tarjan, graphs.cached_decision = counted_tarjan, counted_cached
     for cls, key in ((lib.arena.Node, "node_records"),
@@ -128,7 +140,11 @@ def main() -> int:
                 counts["full_support_feasible"] += loads is not None
                 return loads
     graphs._LimitProblem = Counted
-    outcomes = one_pass()
+    cache, outcomes = {} if workload.uses_cache else None, []
+    for req in requests:
+        misses = counts["cache_misses"]
+        outcomes.append(workload.run(lib, req, cache))
+        counts["miss_requests"] += counts["cache_misses"] > misses
     deviations = [str(o.profile[-1][1]) for o in outcomes
                   if getattr(o, "profile", None)]
     print(json.dumps({"workload": args.workload, "seed": args.seed,
