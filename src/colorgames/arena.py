@@ -285,9 +285,7 @@ def _desugared(k, node_ids, owners, initial, index, edge_src, colors,
                edge_dst) -> ColoredArena:
     """The colored arena of checked file tables.  Without uncolored
     edges it is built on them; otherwise only its contracted graph is
-    built, and the tables are kept for the expansion.  In the expanded
-    edge list a chain's k edges follow from its head id, which is the
-    file edge id plus (k - 1) per uncolored edge before it."""
+    built, and the tables are kept for the expansion."""
     chains = colors.count(None)
     if (k - 1) * chains > MAX_CHAIN_NODES:
         raise ValidationError(
@@ -297,6 +295,19 @@ def _desugared(k, node_ids, owners, initial, index, edge_src, colors,
               edge_dst)
     if not chains:
         return ColoredArena.from_tables(*tables)
+    arena = ColoredArena.__new__(ColoredArena)
+    arena.k, arena.initial, arena._file = k, initial, tables
+    arena.contracted = _contract(k, node_ids, owners, index, edge_src,
+                                 colors, edge_dst)
+    return arena
+
+
+def _contract(k, node_ids, owners, index, edge_src, colors,
+              edge_dst) -> ContractedGraph:
+    """The contracted graph of file tables whose uncolored edges (color
+    None) are chains.  In the expanded edge list a chain's k edges follow
+    from its head id, which is the file edge id plus k - 1 per uncolored
+    edge before it."""
     out_ids = [[] for _ in node_ids]
     src, color, dst = {}, {}, {}
     head = 0
@@ -304,11 +315,8 @@ def _desugared(k, node_ids, owners, initial, index, edge_src, colors,
         out_ids[s].append(head)
         src[head], color[head], dst[head] = s, c or 0, d
         head += 1 if c else k
-    arena = ColoredArena.__new__(ColoredArena)
-    arena.k, arena.initial, arena._file = k, initial, tables
-    arena.contracted = ContractedGraph(node_ids, owners, index, out_ids, src,
-                                       color, dst, chains)
-    return arena
+    return ContractedGraph(node_ids, owners, index, out_ids, src, color, dst,
+                           colors.count(None))
 
 
 def _expanded(k, node_ids, owners, initial, index, edge_src, colors,

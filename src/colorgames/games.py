@@ -18,8 +18,7 @@ from math import prod
 from typing import Iterator
 
 from . import graphs
-from .arena import (ColoredArena, ContractedGraph, ContractError, Goal,
-                    RawArena)
+from .arena import ColoredArena, ContractError, Goal, RawArena, _contract
 from .graphs import (GraphDecision, decide_balanced_path,
                      decide_bounded_path, decide_frequency_path)
 
@@ -64,8 +63,9 @@ def prune(arena: ColoredArena, strategy: MemorylessStrategy) -> ColoredArena:
     """Keep only the strategy's edge at player-1 nodes, then restrict to
     the part reachable from the initial node; built on the expanded
     tables, nodes and edges in parent order.  A chain is kept whole or
-    not at all, and the pruned arena's contracted graph keeps the
-    parent's chains that it reaches."""
+    not at all, and so is its run of expanded ids, so the pruned arena
+    has the contracted graph of the parent's file nodes and edges that
+    it keeps."""
     chosen = strategy.as_dict()
     table = {}
     for i, owner in enumerate(arena.owners):
@@ -90,20 +90,15 @@ def prune(arena: ColoredArena, strategy: MemorylessStrategy) -> ColoredArena:
         [arena.edge_color[eid] for eid in kept],
         [pos[dst[eid]] for eid in kept])
     graph = arena.contracted
-    if graph.chains:  # kept file nodes come first, as in the parent
+    if graph.chains:  # the kept part of the file, in parent order
         files = bisect_left(nodes, len(graph.node_ids))
-        heads = {i: eid for i, eid in enumerate(kept)
-                 if eid in graph.edge_src}
-        out_ids = [[] for _ in range(files)]
-        for i, eid in heads.items():
-            out_ids[pos[graph.edge_src[eid]]].append(i)
-        colors = {i: graph.edge_color[eid] for i, eid in heads.items()}
-        pruned.contracted = ContractedGraph(
-            node_ids[:files], pruned.owners[:files],
-            dict(zip(node_ids[:files], range(files))), out_ids,
-            {i: pos[graph.edge_src[eid]] for i, eid in heads.items()}, colors,
-            {i: pos[graph.edge_dst[eid]] for i, eid in heads.items()},
-            list(colors.values()).count(0))
+        edges = [eid for eid in kept if eid in graph.edge_src]
+        pruned.contracted = _contract(
+            arena.k, node_ids[:files], pruned.owners[:files],
+            dict(zip(node_ids[:files], range(files))),
+            [pos[graph.edge_src[eid]] for eid in edges],
+            [graph.edge_color[eid] or None for eid in edges],
+            [pos[graph.edge_dst[eid]] for eid in edges])
     return pruned
 
 

@@ -625,9 +625,9 @@ def cached_decision(cache: dict, arena: ColoredArena,
         return GraphDecision(found is not None)
     edges, k, color = arena.edges, arena.k, arena.contracted.edge_color
 
-    def path(ids):
-        return FinitePath(edges[j] for i in ids
-                          for j in (range(i, i + k) if color[i] == 0 else (i,)))
+    def path(ids):  # a chain's k edges follow from its head id
+        return FinitePath(edges[j] for i in ids for j in (
+            range(i, i + k) if color[i] == 0 else (i,)))
     if rates is None:
         return GraphDecision(True, path(found))
     return GraphDecision(True, LoopSet(tuple(

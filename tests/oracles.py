@@ -694,7 +694,7 @@ def reference_contracted_canonical_form(raw: RawArena,
     return key, [row[3] for row in rows]
 
 
-# --- exact witness checks ------------------------------------------------------
+# --- exact witness checks -----------------------------------------------------
 
 
 def _is_closed_walk(arena: ColoredArena, path: FinitePath) -> bool:
