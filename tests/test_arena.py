@@ -3,6 +3,8 @@
 import json
 import pickle
 import random
+import sys
+import threading
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -231,6 +233,31 @@ def test_expansion_is_idempotent_and_keeps_the_file_tables():
         assert arena_fields(first) == arena_fields(second) == fields
         assert arena_fields(raw) == arena_fields(load_raw_arena(text))
     assert expanded > 50
+
+
+def test_threads_racing_to_expand_read_equal_tables():
+    # the expanded tables are the only state an arena sets after it is
+    # built; threads that race on one freshly loaded arena must each read
+    # the tables and records of an arena expanded alone
+    rng = random.Random(67)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            text = random_raw_arena(rng).to_json()
+            expected = arena_fields(load_arena(text))
+            arena, seen = load_arena(text), []
+            threads = [threading.Thread(
+                target=lambda: seen.append(arena_fields(arena)))
+                for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert seen == [expected] * 8
+    finally:
+        sys.setswitchinterval(old)
 
 
 def _broken_texts(rng):
