@@ -243,13 +243,9 @@ class RawArena(_ArenaBase):
 
 
 class ColoredArena(_ArenaBase):
-    """A validated arena where every edge carries a color in 1..k.
-
-    An arena loaded or desugared from a file with uncolored edges holds
-    the file's checked tables and its contracted graph; its expanded
-    tables are built from the file's tables when one of them is first
-    asked for.  Every other arena is built on its expanded tables, which
-    are then its contracted graph too."""
+    """A validated arena where every edge carries a color in 1..k.  One
+    desugared from a file with chains builds its expanded tables from
+    the file's when one of them is first asked for."""
 
     def __getattr__(self, name):  # only called for a missing attribute
         if name not in _EXPANDED:
