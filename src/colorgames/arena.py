@@ -125,13 +125,14 @@ class _ArenaBase:
         return _fill(cls.__new__(cls), k, node_ids, owners, initial,
                      node_index, edge_src, edge_color, edge_dst)
 
-    @cached_property
-    def contracted(self) -> ContractedGraph:
-        """The contracted graph: an arena's own tables unless it is a
-        colored arena with chains, which sets it when it is built."""
-        return ContractedGraph(self.node_ids, self.owners, self.node_index,
-                               self.out_ids, self.edge_src, self.edge_color,
-                               self.edge_dst, 0)
+    chains = 0  # the arena's own tables hold no chain edge
+
+    @property
+    def contracted(self) -> ContractedGraph | _ArenaBase:
+        """The contracted graph: the arena itself, whose tables are those
+        of a contracted graph without chains, unless it is a colored
+        arena with chains, which keeps one as ``_contracted``."""
+        return self.__dict__.get("_contracted", self)
 
     @cached_property
     def nodes(self) -> tuple[Node, ...]:
@@ -293,8 +294,8 @@ def _desugared(k, node_ids, owners, initial, index, edge_src, colors,
         return ColoredArena.from_tables(*tables)
     arena = ColoredArena.__new__(ColoredArena)
     arena.k, arena.initial, arena._file = k, initial, tables
-    arena.contracted = _contract(k, node_ids, owners, index, edge_src,
-                                 colors, edge_dst)
+    arena._contracted = _contract(k, node_ids, owners, index, edge_src,
+                                  colors, edge_dst)
     return arena
 
 

@@ -5,8 +5,9 @@ These games are determined and the opponent never needs memory, so
 player 1 wins iff fixing some per-node edge choice leaves a pruned graph
 without a goal path.  The solver tries every choice table in
 lexicographic order; ``graphs.cached_decision`` looks each one's graph
-up by its canonical form on the arena's contracted graph, and only a
-miss expands the arena's chains, prunes and decides.
+up by its canonical form on the arena's contracted graph and decides a
+miss on the contracted edges that the form lists.  ``prune`` builds the
+pruned arena itself for callers that want it.
 """
 
 from __future__ import annotations
@@ -61,43 +62,44 @@ def enumerate_strategies(
 
 def prune(arena: ColoredArena, strategy: MemorylessStrategy) -> ColoredArena:
     """Keep only the strategy's edge at player-1 nodes, then restrict to
-    the part reachable from the initial node; built on the expanded
-    tables, nodes and edges in parent order.  A chain is kept whole or
-    not at all, and so is its run of expanded ids, so the pruned arena
-    has the contracted graph of the parent's file nodes and edges that
-    it keeps."""
+    the part reachable from the initial node, nodes and edges in parent
+    order.  The search runs on the contracted graph, so a chain is kept
+    whole or not at all, and so is its run of expanded ids; the pruned
+    arena is built on the expanded tables and has the contracted graph
+    of the parent's file nodes and edges that it keeps."""
     chosen = strategy.as_dict()
-    table = {}
-    for i, owner in enumerate(arena.owners):
+    graph = arena.contracted
+    for i, owner in enumerate(graph.owners):
         if owner == 1:
-            node_id = arena.node_ids[i]
-            eid = table[i] = chosen.get(node_id)
+            node_id = graph.node_ids[i]
+            eid = chosen.get(node_id)
             if eid is None:
                 raise ContractError(
                     f"strategy misses player-1 node {node_id!r}")
-            if eid not in arena.out_ids[i]:
+            if eid not in graph.out_ids[i]:
                 raise ContractError(
                     f"strategy maps {node_id!r} to a foreign edge")
-    kept = sorted(graphs._reachable_edge_ids(arena, table))
+    edges = sorted(graphs.reachable_canonical_form(arena, chosen)[1])
+    k, color = arena.k, graph.edge_color
+    kept = [j for i in edges for j in (range(i, i + k) if color[i] == 0
+                                       else (i,))]
     src, dst = arena.edge_src, arena.edge_dst
     nodes = sorted({src[eid] for eid in kept})
     pos = {v: i for i, v in enumerate(nodes)}
     node_ids = [arena.node_ids[v] for v in nodes]
     pruned = ColoredArena.from_tables(
-        arena.k, node_ids, [arena.owners[v] for v in nodes], arena.initial,
+        k, node_ids, [arena.owners[v] for v in nodes], arena.initial,
         dict(zip(node_ids, range(len(nodes)))),
         [pos[src[eid]] for eid in kept],
         [arena.edge_color[eid] for eid in kept],
         [pos[dst[eid]] for eid in kept])
-    graph = arena.contracted
     if graph.chains:  # the kept part of the file, in parent order
         files = bisect_left(nodes, len(graph.node_ids))
-        edges = [eid for eid in kept if eid in graph.edge_src]
-        pruned.contracted = _contract(
-            arena.k, node_ids[:files], pruned.owners[:files],
+        pruned._contracted = _contract(
+            k, node_ids[:files], pruned.owners[:files],
             dict(zip(node_ids[:files], range(files))),
             [pos[graph.edge_src[eid]] for eid in edges],
-            [graph.edge_color[eid] or None for eid in edges],
+            [color[eid] or None for eid in edges],
             [pos[graph.edge_dst[eid]] for eid in edges])
     return pruned
 
@@ -138,8 +140,7 @@ def graph_decide(arena: ColoredArena, goal: Goal,
                  cache: dict | None = None) -> GraphDecision:
     """One-player decision for a goal, looked up in ``cache`` if given."""
     if cache is not None:
-        return graphs.cached_decision(cache, arena, goal.rates(arena.k),
-                                      lambda: graph_decide(arena, goal))
+        return graphs.cached_decision(cache, arena, goal.rates(arena.k))
     if goal.kind == "balanced":
         return decide_balanced_path(arena)
     if goal.kind == "bounded":
@@ -156,8 +157,9 @@ def decide_winner(arena: ColoredArena, goal: Goal,
     nothing is kept per strategy beyond the count ``explored``.
 
     Each strategy's graph is looked up in ``cache`` (a dict local to the
-    call when none is given) by its canonical form on the parent arena;
-    only a miss builds the pruned arena and decides it.
+    call when none is given) by its canonical form on the parent arena,
+    and a miss is decided there too: no strategy expands a chain, builds
+    a pruned arena or builds a record.
     """
     rates = goal.rates(arena.k)
     total = count_strategies(arena)
@@ -168,9 +170,7 @@ def decide_winner(arena: ColoredArena, goal: Goal,
     if cache is None:
         cache = {}
     for idx, tau in enumerate(enumerate_strategies(arena)):
-        decision = graphs.cached_decision(
-            cache, arena, rates, lambda: graph_decide(prune(arena, tau), goal),
-            tau.as_dict(), witness=False)
-        if not decision.exists:
+        if not graphs.cached_decision(cache, arena, rates, tau.as_dict(),
+                                      witness=False).exists:
             return GameResult(1, tau, total, idx + 1)
     return GameResult(0, None, total, total)

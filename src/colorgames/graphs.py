@@ -16,9 +16,12 @@ circulation that loads all of its chains, whose Eulerian circuit is the
 witness walk; failing that, edges that cannot carry load in any
 zero-difference circulation are pruned and the survivors regrouped.
 
-The deciders are pure.  ``cached_decision`` is the one cache entry: it
-keys a decision by the goal's rates and the canonical form of the
-arena's contracted graph, where each desugared chain is one edge.
+The deciders are pure and run on the arena's contracted graph, where
+each desugared chain is one edge of length k with one of every color;
+a witness stays edge ids there, checked exactly once, until a caller
+asks for records.  ``cached_decision`` is the one cache entry: it keys
+a decision by the goal's rates and the canonical form of the contracted
+graph, and decides a miss on the edges that the form lists.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
 from types import SimpleNamespace
@@ -63,53 +67,47 @@ def _tarjan(num_nodes: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
     for root in range(num_nodes):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            out = succ[v]
-            while pi < len(out):
-                w = out[pi]
-                pi += 1
+            v, out = work[-1]
+            for w in out:  # resumes after the edge of v's last descent
                 if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    descended = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
                     break
                 if on_stack[w] and index[w] < low[v]:
                     low[v] = index[w]
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                u, _ = work[-1]
-                if low[v] < low[u]:
-                    low[u] = low[v]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     return comps
 
 
-def edge_components(arena: ColoredArena,
-                    edge_ids: Iterable[int]) -> list[list[int]]:
+def edge_components(graph, edge_ids: Iterable[int]) -> list[list[int]]:
     """Internal edge ids, ascending, of each strongly connected component
     of the subgraph the given edges span that has an internal edge;
-    groups ordered by the component's smallest node index."""
+    groups ordered by the component's smallest node index.  ``graph`` is
+    an arena or a contracted graph (``ColoredArena.contracted``)."""
     edge_ids = sorted(edge_ids)
-    src, dst = arena.edge_src, arena.edge_dst
-    succ: list[list[int]] = [[] for _ in arena.node_ids]
+    src, dst = graph.edge_src, graph.edge_dst
+    succ: list[list[int]] = [[] for _ in graph.node_ids]
     for eid in edge_ids:
         succ[src[eid]].append(dst[eid])
     comp_of = [0] * len(succ)
@@ -126,16 +124,16 @@ def edge_components(arena: ColoredArena,
     return [groups[ci] for ci in sorted(groups, key=smallest.__getitem__)]
 
 
-def _reachable_edge_ids(arena: ColoredArena,
-                        choice: dict[int, int] | None = None) -> list[int]:
-    """Edges whose source is reachable from the initial node, by BFS; at
-    a node position that ``choice`` maps to an edge id, only that edge."""
-    queue = [arena.node_index[arena.initial]]
+def _reachable_edge_ids(arena: ColoredArena) -> list[int]:
+    """Edges of the arena's contracted graph whose source is reachable
+    from the initial node, by BFS."""
+    graph = arena.contracted
+    queue = [graph.node_index[arena.initial]]
     seen = set(queue)
-    out_ids, dst_of = arena.out_ids, arena.edge_dst
+    out_ids, dst_of = graph.out_ids, graph.edge_dst
     out: list[int] = []
     for u in queue:  # the queue grows while it is read: breadth-first
-        for eid in ((choice[u],) if choice and u in choice else out_ids[u]):
+        for eid in out_ids[u]:
             out.append(eid)
             v = dst_of[eid]
             if v not in seen:
@@ -207,15 +205,17 @@ class _LimitProblem:
     along a chain, so the chain becomes one variable carrying the chain's
     per-color counts.  Solutions expand back to per-edge loads exactly.
     Chain m has den*counts_a(m) - nums[a]*len(m) in the rate row of color
-    a; the k rows sum to zero, so the last is left out.
+    a; the k rows sum to zero, so the last is left out.  ``arena`` is an
+    arena or a contracted graph, whose edges of marker color 0 count k
+    edges and one of every color; k is that of the rates.
     """
 
-    def __init__(self, arena: ColoredArena, edge_ids: Sequence[int],
+    def __init__(self, arena, edge_ids: Sequence[int],
                  rates: FrequencyVector):
         self.arena = arena
         self.edge_ids = sorted(edge_ids)
         self.rates = rates
-        k = arena.k
+        k = rates.k
         src, dst, color = arena.edge_src, arena.edge_dst, arena.edge_color
         indeg: dict[int, int] = {}
         outdeg: dict[int, int] = {}
@@ -230,7 +230,7 @@ class _LimitProblem:
                     if indeg.get(v, 0) != 1 or outdeg.get(v, 0) != 1
                     } or {min(nodes)}
         self.retained = sorted(retained)  # node positions, in index order
-        self.macros: list[tuple[int, int, tuple, tuple]] = []
+        self.macros: list[tuple] = []  # (src, dst, ids, counts, length)
         for eid in self.edge_ids:
             if src[eid] not in retained:
                 continue
@@ -240,12 +240,14 @@ class _LimitProblem:
                 nxt = out_by[v][0]
                 chain.append(nxt)
                 v = dst[nxt]
-            counts = [0] * k
+            counts = [0] * (k + 1)
             for ce in chain:
-                counts[color[ce] - 1] += 1
-            self.macros.append((src[eid], v, tuple(chain), tuple(counts)))
-        self.rate_rows = [[rates.den * counts[a] - p * len(chain)
-                           for _, _, chain, counts in self.macros]
+                counts[color[ce]] += 1
+            units = counts[0]  # chains of the file, marker color 0
+            self.macros.append((src[eid], v, chain, [
+                n + units for n in counts[1:]], len(chain) + (k - 1) * units))
+        self.rate_rows = [[rates.den * counts[a] - p * length
+                           for _, _, _, counts, length in self.macros]
                           for a, p in enumerate(rates.nums)]
         # a cycle's rate of a color is a length-weighted mean of its
         # chains' rates: no load meets a row of one strict sign
@@ -257,7 +259,7 @@ class _LimitProblem:
         """Flow conservation per retained node, then k - 1 rate rows,
         factored once per problem."""
         flow = {v: [0] * len(self.macros) for v in self.retained}
-        for mi, (src, dst, _, _) in enumerate(self.macros):
+        for mi, (src, dst, *_) in enumerate(self.macros):
             flow[dst][mi] += 1
             flow[src][mi] -= 1
         return factor_rows(len(self.macros), [
@@ -271,7 +273,7 @@ class _LimitProblem:
         sum_{m in cover} y_m >= 1 is emitted instead."""
         if cover is None:
             row = Constraint.integral(
-                [len(chain) for _, _, chain, _ in self.macros], "=", 1)
+                [length for *_, length in self.macros], "=", 1)
         else:
             row = Constraint.integral(
                 [int(mi in cover) for mi in range(len(self.macros))], ">=", 1)
@@ -316,8 +318,8 @@ class _LimitProblem:
     def expand(self, macro_loads: Sequence[int]) -> dict[int, int]:
         """Per-edge loads, each chain edge carrying its macro's load;
         zero loads are left out."""
-        return {eid: v for (_, _, chain, _), v in zip(self.macros, macro_loads)
-                if v for eid in chain}
+        return {eid: v for macro, v in zip(self.macros, macro_loads)
+                if v for eid in macro[2]}
 
 
 def _primitive_loads(assignment: Sequence[Fraction]) -> list[int]:
@@ -346,9 +348,6 @@ class Circulation:
         if not self.loads:
             raise ContractError("a circulation needs a positive entry")
 
-    def total(self) -> int:
-        return sum(self.loads.values())
-
 
 @dataclass(frozen=True)
 class LoopSet:
@@ -374,78 +373,94 @@ class GraphDecision:
     witness: LoopSet | FinitePath | None = None
 
 
-def _check_conservation(arena: ColoredArena, circ: Circulation) -> None:
-    edge_ids = range(len(arena.edge_src))
-    net: dict[str, int] = {}
-    for eid, v in circ.loads.items():
-        if eid not in edge_ids:
-            raise ContractError(f"edge id {eid!r} is outside "
-                                f"0..{len(edge_ids) - 1}")
-        e = arena.edges[eid]
-        net[e.src] = net.get(e.src, 0) - v
-        net[e.dst] = net.get(e.dst, 0) + v
-    bad = [n for n, d in net.items() if d != 0]
+def _edge_loads(arena: ColoredArena, circ: Circulation) -> dict[int, int]:
+    """The loads, each id checked against the arena's edge list."""
+    n = len(arena.edge_src)
+    for eid in circ.loads:
+        if eid not in range(n):
+            raise ContractError(f"edge id {eid!r} is outside 0..{n - 1}")
+    return circ.loads
+
+
+def _check_conservation(graph, loads: dict[int, int]) -> None:
+    src, dst = graph.edge_src, graph.edge_dst
+    net: dict[int, int] = {}
+    for eid, v in loads.items():
+        net[src[eid]] = net.get(src[eid], 0) - v
+        net[dst[eid]] = net.get(dst[eid], 0) + v
+    bad = [graph.node_ids[n] for n, d in net.items() if d != 0]
     if bad:
         raise ContractError(f"flow not conserved at {sorted(bad)}")
 
 
 def decompose_circulation(arena: ColoredArena, circ: Circulation) -> LoopSet:
     """Split an integer circulation into simple loops whose multiplicity
-    sum reproduces the loads exactly.
+    sum reproduces the loads exactly (see ``_loops``)."""
+    edges, loops = arena.edges, []
+    for ids, times in _loops(arena, _edge_loads(arena, circ)):
+        path = FinitePath(map(edges.__getitem__, ids))
+        if not path.is_simple_cycle():
+            raise InternalCheckError("extracted loop is not simple")
+        loops.append((path, times))
+    return LoopSet(tuple(loops))
 
-    Walks extend along the surviving outgoing edge of smallest index and
-    a loop is cut as soon as a node repeats, so the output is
-    deterministic.
+
+def _loops(graph, loads: dict[int, int]) -> list[tuple[tuple[int, ...], int]]:
+    """Simple loops of ``graph`` as (edge ids, multiplicity), whose
+    multiplicity sum reproduces the conserved integer loads exactly.
+
+    Walks extend along the loaded outgoing edge of smallest id and a loop
+    is cut as soon as a node repeats, so the output is deterministic.
+    Walking on from the cut node would take the same edges round the
+    loop while they stay loaded, so the loop takes its smallest load at
+    once: each cut empties an edge, and the time does not grow with the
+    loads (the flow decomposition theorem; Ahuja, Magnanti and Orlin,
+    *Network Flows*, 1993, ch. 3).
     """
-    _check_conservation(arena, circ)
+    _check_conservation(graph, loads)
     # conserved flow lies on cycles, so every support edge is internal
-    # to a component of the arena
-    group_of = {eid: gi for gi, group in enumerate(
-        edge_components(arena, range(len(arena.edge_src)))) for eid in group}
-    if len({group_of[eid] for eid in circ.loads}) > 1:
+    # to a component of the graph
+    group_of = {eid: gi for gi, group in enumerate(edge_components(
+        graph, chain.from_iterable(graph.out_ids))) for eid in group}
+    if len({group_of[eid] for eid in loads}) > 1:
         raise ContractError("circulation support spans several strongly "
                             "connected components")
-    remaining = dict(circ.loads)
-    out_by: dict[str, list[int]] = {}
-    for eid in sorted(circ.loads):
-        out_by.setdefault(arena.edges[eid].src, []).append(eid)
+    src, dst = graph.edge_src, graph.edge_dst
+    remaining = dict(loads)
+    out_by: dict[int, list[int]] = {}
+    for eid in sorted(loads):
+        out_by.setdefault(src[eid], []).append(eid)
 
-    def next_out(node: str) -> int:
+    def next_out(node: int) -> int:
         for eid in out_by.get(node, ()):
-            if remaining.get(eid, 0) > 0:
+            if eid in remaining:
                 return eid
-        raise InternalCheckError(f"walk stranded at {node!r}")
+        raise InternalCheckError(f"walk stranded at {graph.node_ids[node]!r}")
 
-    found: dict[tuple[int, ...], int] = {}
-    order: list[tuple[int, ...]] = []
-    budget = circ.total()
+    found: dict[tuple[int, ...], int] = {}  # in order of first cut
     while remaining:
         eid = min(remaining)
-        start = arena.edges[eid].src
-        walk_nodes = [start]
-        pos = {start: 0}
+        walk_nodes = [src[eid]]
+        pos = {src[eid]: 0}
         walk_edges: list[int] = []
         while True:
-            remaining[eid] -= 1
-            if remaining[eid] == 0:
-                del remaining[eid]
             walk_edges.append(eid)
-            budget -= 1
-            if budget < 0:
-                raise InternalCheckError("decomposition exceeded total load")
-            cur = arena.edges[eid].dst
+            cur = dst[eid]
             at = pos.get(cur)
             if at is None:
                 pos[cur] = len(walk_nodes)
                 walk_nodes.append(cur)
             else:
                 cycle = walk_edges[at:]
+                times = min(map(remaining.__getitem__, cycle))
+                for e in cycle:
+                    if remaining[e] == times:
+                        del remaining[e]
+                    else:
+                        remaining[e] -= times
                 shift = cycle.index(min(cycle))
                 canon = tuple(cycle[shift:] + cycle[:shift])
-                if canon not in found:
-                    found[canon] = 0
-                    order.append(canon)
-                found[canon] += 1
+                found[canon] = found.get(canon, 0) + times
                 del walk_edges[at:]
                 for node in walk_nodes[at + 1:]:
                     del pos[node]
@@ -453,64 +468,50 @@ def decompose_circulation(arena: ColoredArena, circ: Circulation) -> LoopSet:
                 if not walk_edges:
                     break
             eid = next_out(cur)
-    loops = []
-    for canon in order:
-        path = FinitePath(arena.edges[eid] for eid in canon)
-        if not path.is_simple_cycle():
-            raise InternalCheckError("extracted loop is not simple")
-        loops.append((path, found[canon]))
-    total = sum(c * len(p) for p, c in loops)
-    if total != circ.total():
+    if sum(c * len(ids) for ids, c in found.items()) != sum(loads.values()):
         raise InternalCheckError("loop multiplicities do not sum to the "
                                  "circulation")
-    return LoopSet(tuple(loops))
+    return list(found.items())
 
 
 def eulerian_circuit(arena: ColoredArena, circ: Circulation) -> FinitePath:
     """Closed walk traversing each edge exactly as often as its load
-    (Hierholzer's algorithm on the multigraph).  Under conserved flow
-    the walk from the support's first node misses edges exactly when the
-    support is not connected."""
-    _check_conservation(arena, circ)
-    first = min((arena.edges[eid].src for eid in circ.loads),
-                key=arena.node_index.__getitem__)
-    remaining = dict(circ.loads)
-    out_by: dict[str, list[int]] = {}
-    for eid in sorted(circ.loads):
-        out_by.setdefault(arena.edges[eid].src, []).append(eid)
-    cursor: dict[str, int] = {v: 0 for v in out_by}
-
-    def take(node: str) -> int | None:
-        lst = out_by.get(node, ())
-        i = cursor.get(node, 0)
-        while i < len(lst) and remaining.get(lst[i], 0) == 0:
-            i += 1
-        cursor[node] = i
-        if i == len(lst):
-            return None
-        eid = lst[i]
-        remaining[eid] -= 1
-        return eid
-
-    node_stack = [first]
-    edge_stack: list[int] = []
-    out: list[int] = []
-    while node_stack:
-        eid = take(node_stack[-1])
-        if eid is None:
-            node_stack.pop()
-            if edge_stack:
-                out.append(edge_stack.pop())
-        else:
-            node_stack.append(arena.edges[eid].dst)
-            edge_stack.append(eid)
-    out.reverse()
-    if len(out) != circ.total():
-        raise ContractError("circulation support is not connected")
-    walk = FinitePath(arena.edges[eid] for eid in out)
+    (see ``_euler``)."""
+    walk = FinitePath(map(arena.edges.__getitem__,
+                          _euler(arena, _edge_loads(arena, circ))))
     if not walk.is_cycle():
         raise InternalCheckError("Euler walk is not closed")
     return walk
+
+
+def _euler(graph, loads: dict[int, int]) -> list[int]:
+    """Edge ids of a closed walk traversing each edge of ``graph``
+    exactly as often as its load (Hierholzer's algorithm on the
+    multigraph), from the support's first node; each node hands out its
+    edges smallest id first.  Under conserved flow the walk misses edges
+    exactly when the support is not connected."""
+    _check_conservation(graph, loads)
+    src, dst = graph.edge_src, graph.edge_dst
+    todo: dict[int, list[int]] = {}  # per node, edges to walk, last first
+    for eid in sorted(loads, reverse=True):
+        todo.setdefault(src[eid], []).extend([eid] * loads[eid])
+    node_stack = [min(todo)]
+    edge_stack: list[int] = []
+    out: list[int] = []
+    while node_stack:
+        edges = todo.get(node_stack[-1])
+        if edges:
+            eid = edges.pop()
+            node_stack.append(dst[eid])
+            edge_stack.append(eid)
+        else:
+            node_stack.pop()
+            if edge_stack:
+                out.append(edge_stack.pop())
+    out.reverse()
+    if len(out) != sum(loads.values()):
+        raise ContractError("circulation support is not connected")
+    return out
 
 
 # --- witness verification ---------------------------------------------------
@@ -592,108 +593,124 @@ _EDGE_ID = itemgetter(3)
 
 
 def decision_key_prefix(rates: FrequencyVector | None) -> tuple:
-    """Cache-key head for a goal's target rates, ``None`` standing for
-    the bounded goal; the canonical form completes the key."""
-    return ("bounded",) if rates is None else ("limit", rates.values)
+    """Cache-key head for a goal's target rates in their integer form,
+    ``None`` standing for the bounded goal; the canonical form completes
+    the key."""
+    return ("bounded",) if rates is None else ("limit", rates.den, rates.nums)
 
 
 def cached_decision(cache: dict, arena: ColoredArena,
-                    rates: FrequencyVector | None, compute,
+                    rates: FrequencyVector | None,
                     choice: dict[str, int] | None = None,
                     witness: bool = True) -> GraphDecision:
-    """The decision stored in ``cache`` for the graph that ``arena``
-    reaches under ``choice``, or ``compute()`` stored there; keyed by the
-    goal's target ``rates`` (``None`` for bounded) and the graph's
-    canonical form (see ``reachable_canonical_form``).
+    """The decision for the graph that ``arena`` reaches under
+    ``choice``, stored in ``cache`` under the goal's target ``rates``
+    (``None`` for bounded) and the graph's canonical form (see
+    ``reachable_canonical_form``).
 
-    A hit is restored onto the canonical edge order and re-checked
-    exactly on the contracted graph, so it expands no chain; without
-    ``witness`` it carries the verdict alone.  With ``witness`` the
-    checked edges are expanded into records, and each loop and the
-    bounded walk start at a node of the file, never inside a chain.  A
-    miss stores the computed witness by canonical positions.
+    A miss decides the edges that the canonical form lists, on the
+    arena's contracted graph, and stores the witness by their canonical
+    positions.  A stored witness, fresh or hit, is restored onto the
+    canonical edge order and checked exactly on the contracted graph, so
+    neither expands a chain; without ``witness`` the decision carries
+    the verdict alone.  With ``witness`` the checked edges are expanded
+    into records, and each loop and the bounded walk start at a node of
+    the file, never inside a chain.
     """
     ckey, order = reachable_canonical_form(arena, choice)
     key = (*decision_key_prefix(rates), ckey)
     stored = cache.get(key)
     if stored is None:
-        decision = compute()
-        cache[key] = _store_decision(arena, order, decision)
-        return decision
+        stored = cache[key] = _stored(arena, order, _decide(
+            arena.contracted, order, rates, arena.k), rates is not None)
     found = _checked_hit(arena, order, stored, rates)
-    if found is None or not witness:
-        return GraphDecision(found is not None)
-    edges, k, color = arena.edges, arena.k, arena.contracted.edge_color
-
-    def path(ids):  # a chain's k edges follow from its head id
-        return FinitePath(edges[j] for i in ids for j in (
-            range(i, i + k) if color[i] == 0 else (i,)))
-    if rates is None:
-        return GraphDecision(True, path(found))
-    return GraphDecision(True, LoopSet(tuple(
-        (path(ids), c) for ids, c in found)))
+    return _decision(arena, found, rates) if witness \
+        else GraphDecision(found is not None)
 
 
 def _checked_hit(arena, order, stored, rates):
     """A stored witness as edge ids of ``arena``'s contracted graph,
-    checked exactly on it, or None for a stored "no".  The bounded walk,
-    and each loop of a loop set, must be a nonempty closed walk, each
-    loop simple; the color counts, summed with the loops' multiplicities,
-    must grow at the target rates, or at equal rates for the bounded
-    walk.  A chain counts k edges and one of every color, and a loop is
-    simple iff its expansion is."""
+    checked by ``_checked``, or None for a stored "no"."""
     exists, payload = stored
     if not exists:
+        return None
+    restore = order.__getitem__
+    if rates is None:
+        return _checked(arena, list(map(restore, payload)), None, "cached")
+    return _checked(arena, [(list(map(restore, positions)), times)
+                            for positions, times in payload], rates, "cached")
+
+
+def _checked(arena, found, rates, source):
+    """A witness of edge ids of ``arena``'s contracted graph, checked
+    exactly there: the bounded walk, and each loop of a loop set, must
+    be a nonempty closed walk, each loop simple; the color counts, summed
+    with the loops' multiplicities, must grow at the target rates, or at
+    equal rates for the bounded walk.  A chain counts k edges and one of
+    every color, and a loop is simple iff its expansion is.  ``source``
+    heads the error message."""
+    if found is None:
         return None
     loops = rates is not None
     graph = arena.contracted
     src, dst, color = graph.edge_src, graph.edge_dst, graph.edge_color
-    counts, total, found = [0] * (arena.k + 1), 0, []
-    for positions, times in payload if loops else [(payload, 1)]:
-        ids = [order[i] for i in positions]
-        starts = [src[i] for i in ids]
-        ends = [dst[i] for i in ids]
+    counts, total = [0] * (arena.k + 1), 0
+    for ids, times in found if loops else [(found, 1)]:
+        starts = list(map(src.__getitem__, ids))
+        ends = list(map(dst.__getitem__, ids))
         if not ids or ends[-1:] + ends[:-1] != starts:
-            raise InternalCheckError("cached walk is not closed")
+            raise InternalCheckError(f"{source} walk is not closed")
         if loops and len(set(starts)) < len(ids):
-            raise InternalCheckError("cached loop is not a simple cycle")
+            raise InternalCheckError(f"{source} loop is not a simple cycle")
         for i in ids:
             counts[color[i]] += times
         total += times * len(ids)
-        found.append((ids, times))
     chains = counts[0]  # marker color 0
     total += (arena.k - 1) * chains
     rates = rates or FrequencyVector.uniform(arena.k)
     if total <= 0 or any(rates.den * (n + chains) != p * total
                          for n, p in zip(counts[1:], rates.nums)):
-        raise InternalCheckError("cached witness does not match the goal's "
-                                 "rates")
-    return found if loops else found[0][0]
+        raise InternalCheckError(f"{source} witness does not match the "
+                                 "goal's rates")
+    return found
 
 
-def _store_decision(arena, order, decision):
-    """Witness edges as positions in the canonical order: per loop for a
-    loop set, along the walk for a bounded witness.  Parallel edges with
-    equal (source, color, target) are interchangeable in every decision
-    and witness property, so each maps to the first such position.  A
-    chain is stored by its head, and the edges that leave chain nodes
-    are dropped, so each stored walk starts at a node of the file."""
-    if not decision.exists:
+def _stored(arena, order, found, loops):
+    """A witness of edge ids of ``arena``'s contracted graph as positions
+    in the canonical order: per loop for a loop set, along the walk for
+    a bounded witness.  Parallel edges with equal (source, color,
+    target) are interchangeable in every decision and witness property,
+    so each maps to the first such position; a chain keeps its own,
+    unless k = 1 makes it one edge of color 1."""
+    if found is None:
         return (False, None)
-    src, color, dst = arena.edge_src, arena.edge_color, arena.edge_dst
-    pos: dict[tuple, int] = {}
-    for i, eid in enumerate(order):
-        pos.setdefault((src[eid], color[eid], dst[eid]), i)
-    index, files = arena.node_index, len(arena.contracted.node_ids)
+    graph, k = arena.contracted, arena.k
+    src, color, dst = graph.edge_src, graph.edge_color, graph.edge_dst
 
-    def positions(path):
-        rows = [(index[e.src], e.color, index[e.dst]) for e in path.edges]
-        return tuple(pos[row] for row in rows if row[0] < files)
-    witness = decision.witness
-    if isinstance(witness, LoopSet):
-        return (True, tuple((positions(path), c)
-                            for path, c in witness.loops))
-    return (True, positions(witness))
+    def row(i):
+        return (src[i], color[i] or 1, dst[i]) if color[i] or k == 1 else i
+    pos: dict = {}
+    first = {eid: pos.setdefault(row(eid), i) for i, eid in enumerate(order)}
+
+    def positions(ids):
+        return tuple(map(first.__getitem__, ids))
+    if loops:
+        return (True, tuple((positions(ids), c) for ids, c in found))
+    return (True, positions(found))
+
+
+def _decision(arena, found, rates) -> GraphDecision:
+    """The decision of a checked witness, or of None, with its edges
+    expanded into records: a chain's k edges follow from its head id."""
+    if found is None:
+        return GraphDecision(False)
+    edges, k, color = arena.edges, arena.k, arena.contracted.edge_color
+
+    def path(ids):
+        return FinitePath(edges[j] for i in ids for j in (
+            range(i, i + k) if color[i] == 0 else (i,)))
+    return GraphDecision(True, path(found) if rates is None else LoopSet(
+        tuple((path(ids), c) for ids, c in found)))
 
 
 # --- the deciders -----------------------------------------------------------
@@ -720,32 +737,30 @@ def decide_bounded_path(arena: ColoredArena) -> GraphDecision:
 
 def _compute_path(arena: ColoredArena,
                   rates: FrequencyVector | None) -> GraphDecision:
-    """The first reachable component's witness: loops at the target
-    rates, or a zero-difference closed walk when ``rates`` is None."""
-    for edge_ids in edge_components(arena, _reachable_edge_ids(arena)):
+    graph = arena.contracted
+    found = _decide(graph, _reachable_edge_ids(arena), rates, arena.k)
+    return _decision(arena, _checked(arena, found, rates, "computed"), rates)
+
+
+def _decide(graph, edge_ids, rates, k):
+    """The first component's witness over the given edges of ``graph``
+    (an arena or a contracted graph): (edge ids, multiplicity) loops at
+    the target rates, or the edge ids of a zero-difference closed walk
+    when ``rates`` is None; None when no component has one."""
+    for group in edge_components(graph, edge_ids):
         if rates is None:
-            walk = _zero_diff_component_walk(
-                arena, edge_ids, FrequencyVector.uniform(arena.k))
-            if walk is None:
-                continue
-            if not is_zero_diff_cycle(walk, arena.k):
-                raise InternalCheckError("witness walk has nonzero "
-                                         "difference matrix")
-            return GraphDecision(True, walk)
-        problem = _LimitProblem(arena, edge_ids, rates)
-        loads = problem.solve()
-        if loads is None:
+            walk = _zero_diff_component_walk(graph, group, k)
+            if walk is not None:
+                return walk
             continue
-        loop_set = decompose_circulation(arena,
-                                         Circulation(problem.expand(loads)))
-        if not loop_ratio_matches(loop_set, rates):
-            raise InternalCheckError("loop set does not match the target "
-                                     "rates")
-        return GraphDecision(True, loop_set)
-    return GraphDecision(False)
+        problem = _LimitProblem(graph, group, rates)
+        loads = problem.solve()
+        if loads is not None:
+            return _loops(graph, problem.expand(loads))
+    return None
 
 
-def _zero_diff_component_walk(arena, edge_ids, zero):
+def _zero_diff_component_walk(graph, edge_ids, k):
     """Support pruning: an edge survives iff some zero-difference
     circulation over the current edges gives it positive load.
 
@@ -761,15 +776,15 @@ def _zero_diff_component_walk(arena, edge_ids, zero):
     connected, so round 1 has one group; later rounds take the
     survivors' components smallest edge first.
     """
+    zero = FrequencyVector.uniform(k)
     groups = [edge_ids]
     for _ in range(len(edge_ids) + 1):
         kept: list[int] = []
         for group in groups:
-            problem = _LimitProblem(arena, group, zero)
+            problem = _LimitProblem(graph, group, zero)
             loads = problem.solve_full_support()
             if loads is not None:
-                return eulerian_circuit(arena,
-                                        Circulation(problem.expand(loads)))
+                return _euler(graph, problem.expand(loads))
             uncovered = set(range(len(problem.macros)))
             total = [0] * len(problem.macros)
             while uncovered:
@@ -783,6 +798,5 @@ def _zero_diff_component_walk(arena, edge_ids, zero):
             kept.extend(problem.expand(total))
         if not kept:
             return None
-        groups = sorted(edge_components(arena, kept), key=itemgetter(0))
+        groups = sorted(edge_components(graph, kept), key=itemgetter(0))
     raise InternalCheckError("support pruning failed to converge")
-

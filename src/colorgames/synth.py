@@ -184,17 +184,28 @@ def stream(schedule: PathSchedule) -> PathStream:
     """Lazily emit the infinite path of a schedule.  Round i is built as
     one block per loop (its edges repeated i * c times) followed by the
     loop's connector, so the generator resumes once per block, not once
-    per edge; a block of a prefix of length n holds O(sqrt(n * w)) edges,
-    w being the loop weight."""
-    parts = tuple(zip(schedule.loops, schedule.coeffs, schedule.connectors))
+    per edge.  A block longer than ``_RUN_EDGES`` edges is one run of at
+    most that many edges, or one loop, repeated lazily, so memory does
+    not grow with i * c."""
+    parts = [(loop.edges, max(1, _RUN_EDGES // len(loop)), c, conn)
+             for loop, c, conn in zip(schedule.loops, schedule.coeffs,
+                                      schedule.connectors)]
 
-    def blocks() -> Iterator[tuple[Edge, ...]]:
+    def blocks() -> Iterator[Iterable[Edge]]:
         for i in count(1):
-            for loop, c, conn in parts:
-                yield loop.edges * (i * c)
+            for edges, times, c, conn in parts:
+                n = i * c
+                if n > times:
+                    runs, n = divmod(n, times)
+                    run = edges * times
+                    yield chain.from_iterable(run for _ in range(runs))
+                yield edges * n
                 yield conn
     return PathStream(schedule.start, chain.from_iterable(blocks()),
                       schedule=schedule)
+
+
+_RUN_EDGES = 4096
 
 
 def measure_convergence(path_stream: Iterable[Edge], n: int,

@@ -5,9 +5,12 @@ by Fourier-Motzkin elimination, loop combinations by explicit coefficient
 search over enumerated simple cycles, bounded walks by state-space
 search, and bounded support by forced-edge pruning on the unreduced
 per-edge system.  These deliberately reimplement the math so that
-agreement is meaningful.  The one exception is the game loop reference,
+agreement is meaningful.  The exceptions are the game loop reference,
 which keeps the earlier strategy loop (decide every pruned arena through
-the one-player cache) to pin the parent-arena loop that replaced it.
+the one-player cache) to pin the parent-arena loop that replaced it, and
+the miss-path reference, which runs the package's components and load
+programs on a pruned arena's expanded tables to pin the decision on the
+parent's contracted graph that replaced it.
 """
 
 from __future__ import annotations
@@ -20,12 +23,13 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from colorgames import (CnfFormula, ColoredArena, ContractError, Edge,
-                        FeasibilityResult, FinitePath, FrequencyVector, Goal,
-                        LinearSystem, MemorylessStrategy, Node,
-                        ParseError, PathSchedule, RawArena, ValidationError,
-                        build_color_limit_system, color_counts,
-                        enumerate_strategies, graph_decide, prune)
+from colorgames import (Circulation, CnfFormula, ColoredArena, ContractError,
+                        Edge, FeasibilityResult, FinitePath, FrequencyVector,
+                        Goal, GraphDecision, LinearSystem, LoopSet,
+                        MemorylessStrategy, Node, ParseError, PathSchedule,
+                        RawArena, ValidationError, build_color_limit_system,
+                        color_counts, edge_components, enumerate_strategies,
+                        eulerian_circuit, graph_decide, graphs, prune)
 from colorgames.arena import MAX_CHAIN_NODES, MAX_COLORS
 
 
@@ -748,6 +752,156 @@ def reference_decide_winner(
         if not decision.exists:
             return 1, tau, tuple(log)
     return 0, None, tuple(log)
+
+
+# --- the game's miss path on expanded tables -----------------------------------
+
+
+def reference_decompose_circulation(arena: ColoredArena,
+                                    circ: Circulation) -> LoopSet:
+    """The unit walk that ``decompose_circulation`` replaced: one unit of
+    load per step along the loaded outgoing edge of smallest index, a
+    loop cut as soon as a node repeats and counted once per cut, so its
+    time grows with the total load."""
+    remaining = dict(circ.loads)
+    out_by: dict[str, list[int]] = {}
+    for eid in sorted(circ.loads):
+        out_by.setdefault(arena.edges[eid].src, []).append(eid)
+    found: dict[tuple[int, ...], int] = {}
+    while remaining:
+        eid = min(remaining)
+        walk_nodes = [arena.edges[eid].src]
+        pos = {walk_nodes[0]: 0}
+        walk_edges: list[int] = []
+        while True:
+            remaining[eid] -= 1
+            if remaining[eid] == 0:
+                del remaining[eid]
+            walk_edges.append(eid)
+            cur = arena.edges[eid].dst
+            at = pos.get(cur)
+            if at is None:
+                pos[cur] = len(walk_nodes)
+                walk_nodes.append(cur)
+            else:
+                cycle = walk_edges[at:]
+                shift = cycle.index(min(cycle))
+                canon = tuple(cycle[shift:] + cycle[:shift])
+                found[canon] = found.get(canon, 0) + 1
+                del walk_edges[at:]
+                for node in walk_nodes[at + 1:]:
+                    del pos[node]
+                del walk_nodes[at + 1:]
+                if not walk_edges:
+                    break
+            eid = next(e for e in out_by[cur] if remaining.get(e, 0) > 0)
+    return LoopSet(tuple((FinitePath(arena.edges[eid] for eid in canon), c)
+                         for canon, c in found.items()))
+
+
+def reference_eulerian_circuit(arena: ColoredArena,
+                               circ: Circulation) -> FinitePath:
+    """Hierholzer's algorithm as ``eulerian_circuit`` ran it on records:
+    from the support's first node, each node hands out its loaded edge
+    of smallest index through a cursor; ``ContractError`` when the walk
+    misses load."""
+    first = min((arena.edges[eid].src for eid in circ.loads),
+                key=arena.node_index.__getitem__)
+    remaining = dict(circ.loads)
+    out_by: dict[str, list[int]] = {}
+    for eid in sorted(circ.loads):
+        out_by.setdefault(arena.edges[eid].src, []).append(eid)
+    cursor = dict.fromkeys(out_by, 0)
+
+    def take(node: str) -> int | None:
+        lst = out_by.get(node, ())
+        i = cursor.get(node, 0)
+        while i < len(lst) and remaining[lst[i]] == 0:
+            i += 1
+        cursor[node] = i
+        if i == len(lst):
+            return None
+        remaining[lst[i]] -= 1
+        return lst[i]
+
+    node_stack, edge_stack, out = [first], [], []
+    while node_stack:
+        eid = take(node_stack[-1])
+        if eid is None:
+            node_stack.pop()
+            if edge_stack:
+                out.append(edge_stack.pop())
+        else:
+            node_stack.append(arena.edges[eid].dst)
+            edge_stack.append(eid)
+    if len(out) != sum(circ.loads.values()):
+        raise ContractError("circulation support is not connected")
+    return FinitePath(arena.edges[eid] for eid in reversed(out))
+
+
+def reference_graph_decide(arena: ColoredArena, goal: Goal) -> GraphDecision:
+    """The one-player decision as a game's cache miss made it before
+    misses stayed on the contracted graph: components, load programs and
+    bounded support pruning on ``arena``'s expanded tables and edge ids,
+    loops by the unit walk, bounded walks by ``eulerian_circuit``.  The
+    arena is a pruned one, so every edge is reachable."""
+    rates = goal.rates(arena.k)
+    zero = FrequencyVector.uniform(arena.k)
+    for group in edge_components(arena, range(len(arena.edges))):
+        if rates is not None:
+            problem = graphs._LimitProblem(arena, group, rates)
+            loads = problem.solve()
+            if loads is not None:
+                return GraphDecision(True, reference_decompose_circulation(
+                    arena, Circulation(problem.expand(loads))))
+            continue
+        groups = [group]
+        while groups:
+            kept: list[int] = []
+            for edge_ids in groups:
+                problem = graphs._LimitProblem(arena, edge_ids, zero)
+                loads = problem.solve_full_support()
+                if loads is not None:
+                    return GraphDecision(True, eulerian_circuit(
+                        arena, Circulation(problem.expand(loads))))
+                uncovered = set(range(len(problem.macros)))
+                total = [0] * len(problem.macros)
+                while uncovered:
+                    loads = problem.solve(cover=uncovered)
+                    if loads is None:
+                        break
+                    for mi, v in enumerate(loads):
+                        if v:
+                            total[mi] += v
+                            uncovered.discard(mi)
+                kept.extend(problem.expand(total))
+            groups = sorted(edge_components(arena, kept), key=min)
+    return GraphDecision(False)
+
+
+def reference_store_decision(arena: ColoredArena, order: list[int],
+                             decision: GraphDecision) -> tuple:
+    """The cache payload that a miss stored from a pruned arena's
+    decision: witness edges, read by their node positions in ``arena``
+    (the parent), as positions in the canonical ``order``, the first one
+    for parallel edges with equal (source, color, target), dropping the
+    edges that leave chain nodes, so a chain is stored by its head."""
+    if not decision.exists:
+        return (False, None)
+    src, color, dst = arena.edge_src, arena.edge_color, arena.edge_dst
+    pos: dict[tuple, int] = {}
+    for i, eid in enumerate(order):
+        pos.setdefault((src[eid], color[eid], dst[eid]), i)
+    index, files = arena.node_index, len(arena.contracted.node_ids)
+
+    def positions(path):
+        rows = [(index[e.src], e.color, index[e.dst]) for e in path.edges]
+        return tuple(pos[row] for row in rows if row[0] < files)
+    witness = decision.witness
+    if isinstance(witness, LoopSet):
+        return (True, tuple((positions(path), c)
+                            for path, c in witness.loops))
+    return (True, positions(witness))
 
 
 # --- connectors ----------------------------------------------------------------

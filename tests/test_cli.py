@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -542,7 +543,7 @@ def test_internal_error_is_an_error_not_a_verdict(two_loops_file, capsys,
     def broken(*args, **kwargs):
         raise failure
 
-    monkeypatch.setattr(graphs, "decompose_circulation", broken)
+    monkeypatch.setattr(graphs, "_loops", broken)  # the deciders' loops
     code = main(["analyze", "--arena", two_loops_file, "--goal", "balanced"])
     captured = capsys.readouterr()
     assert code == 2
@@ -591,6 +592,49 @@ def test_closed_stdout_pipe_in_a_process(two_loops_file):
     assert child.wait(timeout=60) == 2
     assert "Traceback" not in err and "Exception ignored" not in err
     assert "stdout was closed" in err
+
+
+_MEASURED_MAIN = """import resource, sys
+from colorgames.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)"""
+
+
+def test_thirty_digit_frequencies_take_bounded_time_and_memory(tmp_path):
+    # rates with 30-digit denominators give loop multiplicities of about
+    # 60 digits: analyze must not walk the loads unit by unit, and synth
+    # must not build a block of that many edges for a 10-edge prefix
+    arena = build_arena(3, [("u", 1, "u"), ("u", 2, "u"), ("u", 3, "v"),
+                            ("v", 1, "u")])
+    path = tmp_path / "three.json"
+    path.write_text(arena.to_json())
+    second = Fraction(3 * 10 ** 28 + 1, 10 ** 29 + 3)
+    third = Fraction(2 * 10 ** 28 + 1, 10 ** 29 + 7)
+    rates = (1 - second - third, second, third)
+    freq = ",".join(map(str, rates))
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(colorgames.__file__).resolve().parent.parent))
+    for argv in (["analyze"], ["synth", "--emit-prefix", "10"]):
+        started = time.monotonic()
+        child = subprocess.run(
+            [sys.executable, "-c", _MEASURED_MAIN, *argv, "--arena",
+             str(path), "--goal", "freq", "--freq", freq],
+            capture_output=True, text=True, env=env, timeout=60)
+        elapsed = time.monotonic() - started
+        assert child.returncode == 0, child.stderr
+        report = json.loads(child.stdout)
+        counts, total = [0, 0, 0], 0
+        for loop in report["witness"]["loops"]:
+            for _, color, _ in loop["edges"]:
+                counts[color - 1] += loop["coeff"]
+            total += loop["coeff"] * len(loop["edges"])
+        assert tuple(Fraction(c, total) for c in counts) == rates
+        assert total > 10 ** 50
+        if argv[0] == "synth":
+            assert len(report["prefix"]) == 10
+        assert elapsed < 20
+        assert int(child.stderr.split()[-1]) < 100 * 1024  # kB
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 16])

@@ -2,17 +2,20 @@
 
 import hashlib
 import json
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from colorgames import (ColoredArena, ContractError, Edge, FrequencyVector,
-                        Goal, InternalCheckError, RawArena,
+                        GameResult, Goal, InternalCheckError, RawArena,
                         StrategyBudgetError, cnf_to_arena, cnf_to_raw_arena,
                         count_strategies, decide_balanced_path,
-                        decide_winner, enumerate_strategies, games,
+                        decide_winner, enumerate_strategies,
                         graph_decide, graphs, load_arena, prune,
                         serialize_arena)
 from colorgames import arena as arena_module
+from colorgames import cli
 from colorgames.arena import _EXPANDED
 from colorgames.graphs import reachable_canonical_form
 from builders import TWO_LOOPS, build_arena
@@ -21,7 +24,8 @@ from oracles import (arena_fields, bounded_walk_is_exact, expanded_edge_ids,
                      random_formula, random_raw_arena,
                      reference_canonical_form,
                      reference_contracted_canonical_form,
-                     reference_decide_winner, reference_prune,
+                     reference_decide_winner, reference_graph_decide,
+                     reference_prune, reference_store_decision,
                      reference_tables)
 from colorgames import CnfFormula
 
@@ -513,7 +517,7 @@ def test_warm_cache_sweep_builds_no_records(monkeypatch):
     warm = [decide_winner(load_arena(t), g, cache=cache)
             for t in texts for g in goals]
     size = len(cache)
-    monkeypatch.setattr(games, "graph_decide", None)  # a miss would fail
+    monkeypatch.setattr(graphs, "_decide", None)  # a miss would fail
     arenas = [load_arena(t) for t in texts]
     again = [decide_winner(a, g, cache=cache) for a in arenas for g in goals]
     assert again == warm and len(cache) == size
@@ -593,7 +597,7 @@ def test_warm_cache_sweep_on_raw_texts_expands_no_arena(monkeypatch):
     warm = [decide_winner(load_arena(t), g, cache=cache)
             for t in texts for g in goals]
     size = len(cache)
-    monkeypatch.setattr(games, "graph_decide", None)  # a miss would fail
+    monkeypatch.setattr(graphs, "_decide", None)  # a miss would fail
     monkeypatch.setattr(arena_module, "_expanded", None)  # so would this
     arenas = [load_arena(t) for t in texts]
     again = [decide_winner(a, g, cache=cache) for a in arenas for g in goals]
@@ -633,3 +637,144 @@ def test_restored_one_player_witnesses_pass_the_exact_checks():
                 assert all(path.start in files
                            for path, _ in decision.witness.loops)
     assert restored > 50
+
+
+def _random_rates(rng, k):
+    weights = [rng.randint(0, 3) for _ in range(k)]
+    weights[rng.randrange(k)] += 1
+    return FrequencyVector(tuple(Fraction(w, sum(weights)) for w in weights))
+
+
+def _miss_payloads(raw, goal):
+    """Per strategy of the loaded file, in order: the canonical key, the
+    verdict and payload of a cold cache miss on the parent arena, and
+    the payload that the pruned-arena reference stores."""
+    arena = load_arena(raw.to_json())
+    rates = goal.rates(arena.k)
+    out = []
+    for tau in enumerate_strategies(arena):
+        cache = {}
+        exists = graphs.cached_decision(cache, arena, rates, tau.as_dict(),
+                                        witness=False).exists
+        [(key, stored)] = cache.items()
+        out.append((key, exists, stored, tau))
+    # the misses expanded no chain
+    assert not arena.contracted.chains or "edge_src" not in vars(arena)
+    for i, (key, exists, stored, tau) in enumerate(out):
+        order = reachable_canonical_form(arena, tau.as_dict())[1]
+        out[i] = (key, exists, stored, reference_store_decision(
+            arena, order, reference_graph_decide(prune(arena, tau), goal)))
+    return out
+
+
+def _differential_files(seed):
+    rng = random.Random(seed)
+    raws = [cnf_to_raw_arena(random_formula(rng, max_vars=3, max_clauses=3))
+            for _ in range(20)]
+    raws += [random_raw_arena(rng) for _ in range(150)]
+    return rng, raws
+
+
+@pytest.mark.parametrize("kind", ["balanced", "bounded", "frequency"])
+def test_miss_path_matches_the_pruned_arena_reference(kind):
+    # every strategy of seeded CNF files and two-player files with
+    # uncolored edges: the miss decided on the parent's contracted graph
+    # stores the verdict and payload that deciding the pruned arena on
+    # its expanded tables, with the unit-walk decomposition, stored
+    rng, raws = _differential_files(947)
+    seen = Counter()
+    for raw in raws:
+        goal = (Goal.frequency(_random_rates(rng, raw.k))
+                if kind == "frequency" else Goal(kind))
+        for _, exists, stored, expected in _miss_payloads(raw, goal):
+            assert stored == expected
+            assert exists == stored[0]
+            seen[exists] += 1
+            seen["chain"] += exists and any(e.color is None
+                                            for e in raw.edges)
+    assert seen[True] > 100 and seen[False] > 100 and seen["chain"] > 50
+
+
+def _relabeled(raw, rng):
+    """The file with renamed nodes and shuffled nodes and edges, with a
+    map from its strategies' choice tables to the new file's."""
+    nodes = list(raw.nodes)
+    rng.shuffle(nodes)
+    name = {nd.id: f"m{i}" for i, nd in enumerate(nodes)}
+    perm = list(range(len(raw.edges)))
+    rng.shuffle(perm)  # edge j of the new file is edge perm[j] of raw
+    new = RawArena(raw.k, [type(nd)(name[nd.id], nd.owner) for nd in nodes],
+                   name[raw.initial],
+                   [Edge(name[e.src], e.color, name[e.dst]) for e in
+                    map(raw.edges.__getitem__, perm)])
+    old_ids, new_ids = expanded_edge_ids(raw), expanded_edge_ids(new)
+    to_new = {old_ids[f]: new_ids[j] for j, f in enumerate(perm)}
+    return new, lambda choice: {name[u]: to_new[x] for u, x in choice.items()}
+
+
+@pytest.mark.parametrize("kind", ["balanced", "bounded", "frequency"])
+def test_miss_path_is_invariant_under_relabeling_and_edge_order(kind):
+    # renaming the nodes and shuffling nodes and edges keeps every
+    # strategy's verdict, and the new file's misses match the
+    # pruned-arena reference too
+    rng, raws = _differential_files(953)
+    compared = 0
+    for raw in raws:
+        goal = (Goal.frequency(_random_rates(rng, raw.k))
+                if kind == "frequency" else Goal(kind))
+        new, mapped = _relabeled(raw, rng)
+        assert all(stored == expected
+                   for _, _, stored, expected in _miss_payloads(new, goal))
+        arenas = [load_arena(f.to_json()) for f in (raw, new)]
+        rates = goal.rates(raw.k)
+        for tau in enumerate_strategies(arenas[0]):
+            choices = (tau.as_dict(), mapped(tau.as_dict()))
+            verdicts = {graphs.cached_decision({}, a, rates, c).exists
+                        for a, c in zip(arenas, choices)}
+            assert len(verdicts) == 1
+            compared += 1
+    assert compared > 500
+
+
+def test_cold_cached_game_run_expands_nothing(monkeypatch, tmp_path, capsys):
+    # cold decide_winner runs with a cache on CNF arenas, misses
+    # included, leave the expanded tables unbuilt and build no Edge
+    # record; the CLI's solve report is the pruned-arena loop's result
+    built = []
+    init = Edge.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    rng = random.Random(937)
+    texts = [cnf_to_raw_arena(random_formula(rng, max_vars=3, max_clauses=3))
+             .to_json() for _ in range(20)]
+    goals = (Goal.balanced(), Goal.bounded())
+    monkeypatch.setattr(Edge, "__init__", counted)
+    misses = 0
+    for goal in goals:
+        cache = {}
+        for text in texts:
+            arena = load_arena(text)
+            size = len(cache)
+            decide_winner(arena, goal, cache=cache)
+            misses += len(cache) - size
+            assert "edge_src" not in arena.__dict__
+            assert not vars(arena).keys() & {"nodes", "edges", *_EXPANDED}
+    assert not built and misses > 50
+    monkeypatch.undo()
+    path = tmp_path / "game.json"
+    for text in texts[:6]:
+        path.write_text(text)
+        for goal in goals:
+            code = cli.main(["solve", "--arena", str(path),
+                             "--goal", goal.kind])
+            report = json.loads(capsys.readouterr().out)
+            arena = load_arena(text)
+            winner, witness, log = reference_decide_winner(arena, goal, None)
+            expected = GameResult(winner, witness, count_strategies(arena),
+                                  len(log))
+            assert code == winner
+            assert report["result"] == expected.to_json_dict()
+            assert report["witness"] == (None if witness is None else {
+                "type": "strategy", "choices": witness.as_dict()})

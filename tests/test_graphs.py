@@ -19,10 +19,11 @@ from colorgames import (Circulation, ContractError, FrequencyVector, Goal,
                         solve_feasibility)
 from builders import TWO_LOOPS, build_arena
 from oracles import (_strong_groups, component_edge_ids,
-                     loop_combination_exists,
+                     enumerate_simple_cycles, loop_combination_exists,
                      random_connected_arena,
                      random_planted_arena, random_pruning_arena,
-                     reference_feasibility,
+                     reference_decompose_circulation,
+                     reference_eulerian_circuit, reference_feasibility,
                      reference_surviving_edges, reference_zero_diff_support)
 
 
@@ -217,6 +218,46 @@ def test_decompose_figure_eight():
     assert len(loop_set.loops) == 2
     assert all(c == 1 for _, c in loop_set.loops)
     assert all(p.is_simple_cycle() for p, _ in loop_set.loops)
+
+
+def _seeded_circulations(seed, count):
+    """Circulations summed from random simple cycles of seeded strongly
+    connected arenas, with multiplicities up to a thousand."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        arena = random_planted_arena(rng)
+        cycles = enumerate_simple_cycles(arena)
+        loads = Counter()
+        for cycle in rng.sample(cycles, min(len(cycles), rng.randint(1, 6))):
+            times = rng.randint(1, 1000)
+            for eid in cycle:
+                loads[eid] += times
+        yield arena, Circulation(dict(loads))
+
+
+def test_decomposition_matches_the_unit_walk_on_large_loads():
+    # the same loops, in the same order and with the same multiplicities,
+    # as the walk that peels one unit of load per step
+    shared = 0
+    for arena, circ in _seeded_circulations(967, 150):
+        loop_set = decompose_circulation(arena, circ)
+        assert loop_set == reference_decompose_circulation(arena, circ)
+        shared += len(loop_set.loops) > 1
+    assert shared > 50
+
+
+def test_euler_walk_matches_the_cursor_reference():
+    connected = 0
+    for arena, circ in _seeded_circulations(971, 150):
+        try:
+            expected = reference_eulerian_circuit(arena, circ)
+        except ContractError:
+            with pytest.raises(ContractError, match="not connected"):
+                eulerian_circuit(arena, circ)
+            continue
+        assert eulerian_circuit(arena, circ) == expected
+        connected += 1
+    assert connected > 50
 
 
 def test_decompose_rejects_unconserved_flow():
@@ -506,7 +547,7 @@ def test_frequency_vector_stores_one_rate_vector():
     freq = FrequencyVector((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
     assert freq.values == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
     assert (freq.nums, freq.den) == ((3, 2, 1), 6)
-    assert graphs.decision_key_prefix(freq) == ("limit", freq.values)
+    assert graphs.decision_key_prefix(freq) == ("limit", 6, (3, 2, 1))
     assert all(type(v) is Fraction for v in FrequencyVector((1, 0)).values)
     # rates must be nonnegative and sum to one
     for rates in ([5, 5, 5], [Fraction(1, 2), 0], [], [2, -1]):
@@ -518,6 +559,27 @@ def test_frequency_vector_stores_one_rate_vector():
         Goal.frequency(FrequencyVector.uniform(2)).rates(3)
     assert Goal.balanced().rates(3) is FrequencyVector.uniform(3)
     assert Goal.bounded().rates(3) is None
+
+
+def test_equal_rates_written_differently_share_one_cache_key():
+    # the key holds the integer form, so equal rates from Fractions,
+    # unreduced strings and ints give one key, and one cache entry
+    k = 3
+    written = [FrequencyVector((Fraction(1, 2), Fraction(1, 4),
+                                Fraction(1, 4))),
+               FrequencyVector.of("2/4", "3/12", "0.25"),
+               FrequencyVector.parse("50/100, 1/4, 4/16")]
+    assert len({graphs.decision_key_prefix(f) for f in written}) == 1
+    assert graphs.decision_key_prefix(written[0]) == ("limit", 4, (2, 1, 1))
+    assert graphs.decision_key_prefix(FrequencyVector.of("1/3", "2/3")) != \
+        graphs.decision_key_prefix(FrequencyVector.of("2/3", "1/3"))
+    arena = build_arena(k, [("u", 1, "u"), ("u", 2, "u"), ("u", 3, "u")])
+    cache = {}
+    answers = {graph_decide(arena, Goal.frequency(f), cache).exists
+               for f in written}
+    assert answers == {True} and len(cache) == 1
+    balanced = (FrequencyVector.uniform(k), FrequencyVector.of(*["2/6"] * 3))
+    assert len({graphs.decision_key_prefix(f) for f in balanced}) == 1
 
 
 def random_frequency(rng, k):

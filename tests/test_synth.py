@@ -223,10 +223,10 @@ def test_bounded_stream_rejects_unbalanced_walk():
 # --- differential tests against the per-edge reference streams ----------------
 
 
-def seeded_schedules(seed: int, count: int):
+def seeded_schedules(seed: int, count: int, most: int = 3):
     """Schedules over one to three simple cycles (each rotated to a
     random start) of one component of a seeded random arena, with
-    coefficients 1..3."""
+    coefficients 1..most."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -243,7 +243,7 @@ def seeded_schedules(seed: int, count: int):
             continue
         loops = rng.choice(list(groups.values()))
         picked = rng.sample(loops, rng.randint(1, min(3, len(loops))))
-        loop_set = LoopSet(tuple((p, rng.randint(1, 3)) for p in picked))
+        loop_set = LoopSet(tuple((p, rng.randint(1, most)) for p in picked))
         out.append((arena, build_schedule(loop_set, arena)))
     return out
 
@@ -281,6 +281,15 @@ def test_stream_matches_reference_at_round_boundaries():
         ref = list(islice(reference_stream(sched), max(lengths)))
         for n in sorted(lengths):
             assert stream(sched).take(n) == ref[:n]
+
+
+def test_stream_matches_reference_across_long_blocks():
+    # coefficients in the thousands make blocks of tens of thousands of
+    # edges, emitted as runs of at most 4,096 edges and a remainder
+    for _, sched in seeded_schedules(45, 8, most=6000):
+        n = sched.boundary(2) + 1
+        assert stream(sched).take(n) == list(islice(reference_stream(sched),
+                                                    n))
 
 
 def test_stream_takes_in_pieces_match_reference():

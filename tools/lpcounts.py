@@ -4,21 +4,35 @@ perfbench by wrapping library attributes.
     python3 tools/lpcounts.py --src src --workload graph-decide --seed 1
 
 Runs one pass of a perfbench workload against the library under
-``--src`` (any checkout) and prints one JSON line: LP solves (and how
-many started from a factored basis), phase-1 pivots, factorization
-pivots, solves the rate screen skipped, Tarjan runs (``graphs._tarjan``),
-the ``arena.Node`` and ``arena.Edge`` records built in the pass, the
-final synth-stream deviation of every request, and the best of
-``--repeats`` in-process pass times.  Of the solves, it also counts the
-bounded goal's cover solves and full-support solves, and how many
-full-support solves were feasible; a checkout without
-``_LimitProblem.solve_full_support`` reports zero full-support solves.
-Decision cache lookups are calls of ``graphs.cached_decision``, whose
-first argument is the cache; a lookup that grows the cache is a miss,
-and ``miss_requests`` counts the requests with at least one.
-``expansions`` counts the arenas whose uncolored-edge chains were
-expanded, as calls of ``arena._chain_ids``, which every expansion with
-a chain makes once.
+``--src`` (any checkout) and prints one JSON line with the final
+synth-stream deviation of every request, the best of ``--repeats``
+in-process pass times, and these counts, each with what it wraps:
+
+- ``solves`` (``warm_solves`` started from a factored basis): calls of
+  ``graphs.solve_feasibility``, which every load program of a decision
+  reaches through ``graphs._LimitProblem``;
+- ``phase1_pivots`` and ``factor_pivots``: calls of ``lp._pivot``,
+  inside ``graphs.factor_rows`` for the latter;
+- ``screened``: ``_LimitProblem.solve`` calls on a program that the rate
+  screen rejects without a solve;
+- ``cover_solves``, ``full_support_solves`` and
+  ``full_support_feasible``: the solves of ``_LimitProblem.solve`` with
+  a cover row and of ``_LimitProblem.solve_full_support``, the bounded
+  goal's; a checkout without ``solve_full_support`` reports zero;
+- ``tarjan_runs``: calls of ``graphs._tarjan``, one per
+  ``edge_components`` call: a decision's components, each regrouping
+  of bounded support pruning, and the one-component check of a loop
+  decomposition;
+- ``node_records`` and ``edge_records``: ``arena.Node`` and
+  ``arena.Edge`` initializers, which run when ``arena.nodes`` or
+  ``arena.edges`` is first read, as witnesses are turned into records;
+- ``cache_lookups``, ``cache_misses`` and ``miss_requests``: calls of
+  ``graphs.cached_decision``, whose first argument is the cache and which
+  decides a miss itself; a lookup that grows the cache is a miss, and
+  ``miss_requests`` counts the requests with at least one;
+- ``expansions``: arenas whose uncolored-edge chains were expanded, as
+  calls of ``arena._chain_ids``, which every expansion with a chain makes
+  once, on the first read of an expanded table.
 """
 
 from __future__ import annotations
