@@ -1266,6 +1266,14 @@ def random_planted_arena(rng: random.Random) -> ColoredArena:
                         [Edge(*t) for t in triples])
 
 
+def random_frequency(rng: random.Random, k: int) -> FrequencyVector:
+    """Target rates on k colors with small random weights, one of them
+    positive."""
+    weights = [rng.randint(0, 3) for _ in range(k)]
+    weights[rng.randrange(k)] += 1
+    return FrequencyVector(tuple(Fraction(w, sum(weights)) for w in weights))
+
+
 def random_formula(rng: random.Random, max_vars: int = 4,
                    max_clauses: int = 4) -> CnfFormula:
     m = rng.randint(1, max_vars)

@@ -3,7 +3,6 @@
 import hashlib
 import json
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
@@ -21,7 +20,7 @@ from colorgames.graphs import reachable_canonical_form
 from builders import TWO_LOOPS, build_arena
 from oracles import (arena_fields, bounded_walk_is_exact, expanded_edge_ids,
                      loop_set_is_exact, random_connected_arena,
-                     random_formula, random_raw_arena,
+                     random_formula, random_frequency, random_raw_arena,
                      reference_canonical_form,
                      reference_contracted_canonical_form,
                      reference_decide_winner, reference_graph_decide,
@@ -639,12 +638,6 @@ def test_restored_one_player_witnesses_pass_the_exact_checks():
     assert restored > 50
 
 
-def _random_rates(rng, k):
-    weights = [rng.randint(0, 3) for _ in range(k)]
-    weights[rng.randrange(k)] += 1
-    return FrequencyVector(tuple(Fraction(w, sum(weights)) for w in weights))
-
-
 def _miss_payloads(raw, goal):
     """Per strategy of the loaded file, in order: the canonical key, the
     verdict and payload of a cold cache miss on the parent arena, and
@@ -684,7 +677,7 @@ def test_miss_path_matches_the_pruned_arena_reference(kind):
     rng, raws = _differential_files(947)
     seen = Counter()
     for raw in raws:
-        goal = (Goal.frequency(_random_rates(rng, raw.k))
+        goal = (Goal.frequency(random_frequency(rng, raw.k))
                 if kind == "frequency" else Goal(kind))
         for _, exists, stored, expected in _miss_payloads(raw, goal):
             assert stored == expected
@@ -720,7 +713,7 @@ def test_miss_path_is_invariant_under_relabeling_and_edge_order(kind):
     rng, raws = _differential_files(953)
     compared = 0
     for raw in raws:
-        goal = (Goal.frequency(_random_rates(rng, raw.k))
+        goal = (Goal.frequency(random_frequency(rng, raw.k))
                 if kind == "frequency" else Goal(kind))
         new, mapped = _relabeled(raw, rng)
         assert all(stored == expected

@@ -20,6 +20,7 @@ from colorgames import (Circulation, ContractError, FrequencyVector, Goal,
 from builders import TWO_LOOPS, build_arena
 from oracles import (_strong_groups, component_edge_ids,
                      enumerate_simple_cycles, loop_combination_exists,
+                     random_frequency,
                      random_connected_arena,
                      random_planted_arena, random_pruning_arena,
                      reference_decompose_circulation,
@@ -580,12 +581,6 @@ def test_equal_rates_written_differently_share_one_cache_key():
     assert answers == {True} and len(cache) == 1
     balanced = (FrequencyVector.uniform(k), FrequencyVector.of(*["2/6"] * 3))
     assert len({graphs.decision_key_prefix(f) for f in balanced}) == 1
-
-
-def random_frequency(rng, k):
-    weights = [rng.randint(0, 3) for _ in range(k)]
-    weights[rng.randrange(k)] += 1
-    return FrequencyVector(tuple(Fraction(w, sum(weights)) for w in weights))
 
 
 def test_rate_screen_fires_only_on_infeasible_programs(monkeypatch):
