@@ -478,6 +478,14 @@ class FinitePath:
         return f"FinitePath({list(self.edges)!r})"
 
 
+def _exact(value) -> Fraction:
+    """``Fraction(value)``, refusing a string in exponent notation:
+    ``Fraction("1e-99999999")`` builds 10**99999999 before any check."""
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ContractError(f"frequency {value!r} uses exponent notation")
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class FrequencyVector:
     """k nonnegative rationals summing exactly to one: the target rates
@@ -487,7 +495,7 @@ class FrequencyVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        values = tuple(map(Fraction, self.values))
+        values = tuple(map(_exact, self.values))
         if not values:
             raise ContractError("empty frequency vector")
         if any(v < 0 for v in values):
@@ -518,7 +526,7 @@ class FrequencyVector:
         """Parse a comma-separated list of exact rationals like 2/3,1/3."""
         parts = [p.strip() for p in text.split(",")]
         try:
-            values = tuple(Fraction(p) for p in parts)
+            values = tuple(map(_exact, parts))
         except (ValueError, ZeroDivisionError) as exc:
             raise ContractError(f"bad frequency vector {text!r}: {exc}") from exc
         return cls(values)

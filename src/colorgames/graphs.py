@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
 from types import SimpleNamespace
@@ -151,7 +150,7 @@ def build_color_limit_system(arena: ColoredArena, edge_ids: Sequence[int],
     """Load system over the given edges: flow conservation per incident
     node, pairwise color balance proportional to the target rates (the
     count difference of colors a and b is r_a - r_b of the total load),
-    nonnegativity (as the system's column attribute), and positivity.
+    nonnegativity (every column of a ``LinearSystem`` is), and positivity.
 
     Positivity of the total load is encoded as the normalization
     sum(x) = 1 (every other row is homogeneous, so solutions scale); when
@@ -163,7 +162,7 @@ def build_color_limit_system(arena: ColoredArena, edge_ids: Sequence[int],
     edge_ids = list(edge_ids)
     pos = {eid: i for i, eid in enumerate(edge_ids)}
     nvars = len(edge_ids)
-    system = LinearSystem(nvars, nonneg=True)
+    system = LinearSystem(nvars)
 
     incident: dict[int, list[int]] = {}
     for eid in edge_ids:
@@ -278,7 +277,7 @@ class _LimitProblem:
             row = Constraint.integral(
                 [int(mi in cover) for mi in range(len(self.macros))], ">=", 1)
         return LinearSystem(len(self.macros), [*self.factored.rows, row],
-                            nonneg=True, start=self.factored)
+                            start=self.factored)
 
     def solve(self, cover: set[int] | None = None) -> list[int] | None:
         """Primitive integer macro loads of a feasible solution, or None;
@@ -309,7 +308,7 @@ class _LimitProblem:
             tuple([*row, sum(row)] for row in f.tableau), f.basis)
         result = solve_feasibility(LinearSystem(
             n + 1, [*start.rows, Constraint.integral([0] * n + [1], "=", 1)],
-            nonneg=True, start=start))
+            start=start))
         if not result.feasible:
             return None
         *u, t = result.assignment
@@ -395,9 +394,19 @@ def _check_conservation(graph, loads: dict[int, int]) -> None:
 
 def decompose_circulation(arena: ColoredArena, circ: Circulation) -> LoopSet:
     """Split an integer circulation into simple loops whose multiplicity
-    sum reproduces the loads exactly (see ``_loops``)."""
+    sum reproduces the loads exactly (see ``_loops``); its support must
+    lie in one strongly connected component of the arena."""
+    loads = _edge_loads(arena, circ)
+    found = _loops(arena, loads)
+    # _loops checked conservation, and conserved flow lies on cycles, so
+    # every support edge is internal to a component of the arena
+    group_of = {eid: gi for gi, group in enumerate(edge_components(
+        arena, range(len(arena.edge_src)))) for eid in group}
+    if len({group_of[eid] for eid in loads}) > 1:
+        raise ContractError("circulation support spans several strongly "
+                            "connected components")
     edges, loops = arena.edges, []
-    for ids, times in _loops(arena, _edge_loads(arena, circ)):
+    for ids, times in found:
         path = FinitePath(map(edges.__getitem__, ids))
         if not path.is_simple_cycle():
             raise InternalCheckError("extracted loop is not simple")
@@ -415,16 +424,10 @@ def _loops(graph, loads: dict[int, int]) -> list[tuple[tuple[int, ...], int]]:
     loop while they stay loaded, so the loop takes its smallest load at
     once: each cut empties an edge, and the time does not grow with the
     loads (the flow decomposition theorem; Ahuja, Magnanti and Orlin,
-    *Network Flows*, 1993, ch. 3).
+    *Network Flows*, 1993, ch. 3).  The deciders hand over the loads of
+    one component's edges, and ``_checked`` verifies the loops.
     """
     _check_conservation(graph, loads)
-    # conserved flow lies on cycles, so every support edge is internal
-    # to a component of the graph
-    group_of = {eid: gi for gi, group in enumerate(edge_components(
-        graph, chain.from_iterable(graph.out_ids))) for eid in group}
-    if len({group_of[eid] for eid in loads}) > 1:
-        raise ContractError("circulation support spans several strongly "
-                            "connected components")
     src, dst = graph.edge_src, graph.edge_dst
     remaining = dict(loads)
     out_by: dict[int, list[int]] = {}

@@ -3,8 +3,10 @@
 The solver runs a phase-1 simplex with Bland's pivoting rule on integer
 rows (fraction-free, integer-preserving elimination in the style of
 Edmonds and Bareiss): no tolerances, no floating point, guaranteed
-termination under degeneracy.  Only weak relations are supported;
-callers encode strict positivity through a normalization row.
+termination under degeneracy.  Every variable is nonnegative and every
+row is an ``=`` or a ``>=`` row, the shape of the load systems the
+deciders build; a free variable is written x+ - x-, and a ``<=`` row
+negated.  Callers encode strict positivity through a normalization row.
 Homogeneous equality rows can be factored once (``factor_rows``) into a
 basis feasible at x = 0, from which systems that lead with them start.
 """
@@ -19,7 +21,7 @@ from operator import attrgetter, mul
 
 from .arena import ContractError
 
-RELATIONS = ("=", "<=", ">=")
+RELATIONS = ("=", ">=")
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
 
@@ -48,8 +50,6 @@ class Constraint:
         lhs = sum(map(mul, a, x))
         if self.relation == "=":
             return lhs == b * den
-        if self.relation == "<=":
-            return lhs <= b * den
         return lhs >= b * den
 
     @cached_property
@@ -66,25 +66,14 @@ class Constraint:
 
 
 class LinearSystem:
-    """A conjunction of exact linear constraints over m variables.
-
-    ``nonneg`` marks the columns restricted to x_j >= 0: True or False
-    for every column, or one flag per column.  Sign restrictions carried
-    this way cost no constraint row.  ``start``, when given, is the
-    ``factor_rows`` form of the system's leading constraints.
+    """A conjunction of exact linear constraints over m variables, each
+    x_j >= 0.  ``start``, when given, is the ``factor_rows`` form of the
+    system's leading constraints.
     """
 
-    def __init__(self, num_vars: int, constraints=(), nonneg=False,
+    def __init__(self, num_vars: int, constraints=(),
                  start: FactoredRows | None = None):
         self.num_vars = num_vars
-        if isinstance(nonneg, bool):
-            self.nonneg = (nonneg,) * num_vars
-        else:
-            self.nonneg = tuple(bool(v) for v in nonneg)
-            if len(self.nonneg) != num_vars:
-                raise ContractError(
-                    f"nonneg has {len(self.nonneg)} flags, system has "
-                    f"{num_vars} variables")
         self.constraints: list[Constraint] = []
         for con in constraints:
             if isinstance(con, Constraint):
@@ -92,7 +81,7 @@ class LinearSystem:
             else:
                 self.add(*con)
         self.start = start
-        if start and (start.num_vars != num_vars or not all(self.nonneg) or
+        if start and (start.num_vars != num_vars or
                       tuple(self.constraints[:len(start.rows)]) != start.rows):
             raise ContractError("factored rows must lead the system")
 
@@ -108,14 +97,12 @@ class LinearSystem:
             tuple(Fraction(c) for c in coeffs), relation, Fraction(rhs)))
 
     def satisfied_by(self, x) -> bool:
-        """Exact check of every constraint and nonneg column at a vector
-        of rationals (ints or Fractions)."""
-        if len(x) != self.num_vars:
+        """Exact check of every constraint and of x >= 0 at a vector of
+        rationals (ints or Fractions)."""
+        if len(x) != self.num_vars or any(v < 0 for v in x):
             return False
         den = lcm(*map(_denominator, x))
         xs = [v.numerator * (den // v.denominator) for v in x]
-        if any(v < 0 for v, nn in zip(xs, self.nonneg) if nn):
-            return False
         return all(con.holds(xs, den) for con in self.constraints)
 
 
@@ -137,33 +124,8 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     """
     m = system.num_vars
     start = system.start
-
-    # Rows of the form  c*x_j >= 0 (c > 0)  or  c*x_j <= 0 (c < 0)  are
-    # absorbed as variable sign restrictions instead of tableau rows.
-    nonneg = list(system.nonneg)
-    rows: list[Constraint] = []
-    for con in system.constraints[len(start.rows) if start else 0:]:
-        a, b, _ = con.integer_row
-        nz = [(j, c) for j, c in enumerate(a) if c]
-        if len(nz) == 1 and b == 0:
-            j, c = nz[0]
-            if (con.relation == ">=" and c > 0) or (con.relation == "<=" and c < 0):
-                nonneg[j] = True
-                continue
-        rows.append(con)
-
-    # Column layout: nonnegative variables keep one column, free
-    # variables are split x = pos - neg.
-    pos_col = [0] * m
-    neg_col = [-1] * m
-    ncols = 0
-    for j in range(m):
-        pos_col[j] = ncols
-        ncols += 1
-        if not nonneg[j]:
-            neg_col[j] = ncols
-            ncols += 1
-    nstruct = ncols + sum(1 for con in rows if con.relation != "=")
+    rows = system.constraints[len(start.rows) if start else 0:]
+    nstruct = m + sum(1 for con in rows if con.relation != "=")
 
     # Each row starts as its constraint times the lcm of the
     # constraint's denominators.  Artificial variables get basis
@@ -172,29 +134,24 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     # return, so their columns are never read.  A warm start copies the
     # factored rows and reduces each further row by them; the positive
     # factors this puts on its artificial leave phase 1 valid.
-    pad = [0] * (nstruct - ncols)
+    pad = [0] * (nstruct - m)
     tableau = [row + pad for row in start.tableau] if start else []
     basis = list(start.basis) if start else []
     factored = list(zip(tableau, basis))
     rhs = [0] * len(tableau)
     zrow = [0] * nstruct
     art_scales: list[tuple[int, list[int]]] = []
-    slack_at = ncols
+    slack_at = m
     art_at = nstruct
     for con in rows:
         a, b, scale = con.integer_row
-        row = [0] * nstruct
-        for j, v in enumerate(a):
-            if v:
-                row[pos_col[j]] = v
-                if neg_col[j] >= 0:
-                    row[neg_col[j]] = -v
+        row = [*a, *pad]
         if con.relation == "=":
             slack_col = -1
         else:
             slack_col = slack_at
             slack_at += 1
-            row[slack_col] = scale if con.relation == "<=" else -scale
+            row[slack_col] = -scale
         for prow, c in factored:
             f = row[c]
             if f:
@@ -261,17 +218,10 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     if any(rhs[i] for i, c in enumerate(basis) if c >= nstruct):
         return FeasibilityResult(False)
 
-    values: dict[int, Fraction] = {}
+    x = [Fraction(0)] * m
     for i, c in enumerate(basis):
-        if c < ncols:
-            values[c] = Fraction(rhs[i], tableau[i][c])
-    zero = Fraction(0)
-    x = []
-    for j in range(m):
-        v = values.get(pos_col[j], zero)
-        if neg_col[j] >= 0:
-            v -= values.get(neg_col[j], zero)
-        x.append(v)
+        if c < m:
+            x[c] = Fraction(rhs[i], tableau[i][c])
     assignment = tuple(x)
     if not system.satisfied_by(assignment):
         raise RuntimeError("simplex produced an assignment that fails "
@@ -350,10 +300,10 @@ def integer_scale(assignment, system: LinearSystem) -> list[int]:
     """Rescale a rational solution of an (up to one normalization row)
     homogeneous system into a nonnegative integer solution.
 
-    Every entry must be nonnegative, which covers the system's nonneg
-    columns.  Homogeneous constraints are invariant under positive
-    scaling, so multiplying by the least common multiple of the
-    denominators keeps them satisfied exactly.
+    Every entry must be nonnegative, as every column is.  Homogeneous
+    constraints are invariant under positive scaling, so multiplying by
+    the least common multiple of the denominators keeps them satisfied
+    exactly.
     """
     inhomogeneous = [con for con in system.constraints if con.rhs != 0]
     if len(inhomogeneous) > 1:

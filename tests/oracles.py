@@ -33,10 +33,77 @@ from colorgames import (Circulation, CnfFormula, ColoredArena, ContractError,
 from colorgames.arena import MAX_CHAIN_NODES, MAX_COLORS
 
 
+# --- general systems in the solver's form -----------------------------------
+
+
+class GeneralSystem:
+    """Rows a.x (=, <=, >=) b over m variables, each column free or
+    x_j >= 0: the general programs the LP tests draw.  ``nonneg`` is
+    True or False for every column, or one flag per column.
+    ``fm_feasible`` decides the rows as written; the package's solver
+    takes ``solver_form()``."""
+
+    def __init__(self, num_vars: int, rows=(), nonneg=False):
+        self.num_vars = num_vars
+        self.nonneg = ((nonneg,) * num_vars if isinstance(nonneg, bool)
+                       else tuple(map(bool, nonneg)))
+        if len(self.nonneg) != num_vars:
+            raise ContractError(f"nonneg has {len(self.nonneg)} flags, "
+                                f"system has {num_vars} variables")
+        self.rows: list[tuple[tuple[Fraction, ...], str, Fraction]] = []
+        for row in rows:
+            self.add(*row)
+
+    def add(self, coeffs, relation: str, rhs) -> None:
+        if relation not in ("=", "<=", ">=") or len(coeffs) != self.num_vars:
+            raise ContractError(f"bad row {coeffs!r} {relation} {rhs!r}")
+        self.rows.append((tuple(map(Fraction, coeffs)), relation,
+                          Fraction(rhs)))
+
+    def solver_form(self):
+        """The same program as a ``LinearSystem`` (nonnegative columns,
+        = and >= rows), and the map of its assignments back to this
+        system's variables: a free column j becomes x+ - x-, two adjacent
+        columns, and a.x <= b becomes -a.x >= -b."""
+        pos: list[int] = []
+        neg: list[int | None] = []
+        width = 0
+        for flag in self.nonneg:
+            pos.append(width)
+            neg.append(None if flag else width + 1)
+            width += 1 if flag else 2
+        system = LinearSystem(width)
+        for coeffs, relation, rhs in self.rows:
+            sign = -1 if relation == "<=" else 1
+            row = [0] * width
+            for j, c in enumerate(coeffs):
+                row[pos[j]] = sign * c
+                if neg[j] is not None:
+                    row[neg[j]] = -sign * c
+            system.add(row, "=" if relation == "=" else ">=", sign * rhs)
+
+        def back(x):
+            return tuple(x[p] - (0 if n is None else x[n])
+                         for p, n in zip(pos, neg))
+        return system, back
+
+    def satisfied_by(self, x) -> bool:
+        """Exact check of every row and sign flag at a rational vector."""
+        if len(x) != self.num_vars or any(
+                v < 0 for v, flag in zip(x, self.nonneg) if flag):
+            return False
+        for coeffs, relation, rhs in self.rows:
+            lhs = sum(c * v for c, v in zip(coeffs, x))
+            if not (lhs == rhs if relation == "=" else
+                    lhs <= rhs if relation == "<=" else lhs >= rhs):
+                return False
+        return True
+
+
 # --- Fourier-Motzkin feasibility ------------------------------------------
 
 
-def fm_feasible(system: LinearSystem) -> bool:
+def fm_feasible(system: GeneralSystem) -> bool:
     """Eliminate variables one by one; feasible iff no contradictory
     constant row remains."""
     rows: list[tuple[tuple[Fraction, ...], Fraction]] = []  # a.x <= b
@@ -45,12 +112,10 @@ def fm_feasible(system: LinearSystem) -> bool:
         if nonneg:
             rows.append((tuple(Fraction(-1) if i == j else zero
                                for i in range(system.num_vars)), zero))
-    for con in system.constraints:
-        coeffs = tuple(Fraction(c) for c in con.coeffs)
-        rhs = Fraction(con.rhs)
-        if con.relation in ("<=", "="):
+    for coeffs, relation, rhs in system.rows:
+        if relation in ("<=", "="):
             rows.append((coeffs, rhs))
-        if con.relation in (">=", "="):
+        if relation in (">=", "="):
             rows.append((tuple(-c for c in coeffs), -rhs))
     for var in reversed(range(system.num_vars)):
         pos, neg, rest = [], [], []
@@ -93,47 +158,22 @@ def reference_feasibility(system: LinearSystem) -> FeasibilityResult:
     for the package's integer-row solver: both must take the same pivots,
     so flag and assignment agree exactly."""
     m = system.num_vars
-    nonneg = list(system.nonneg)
-    rows = []
-    for con in system.constraints:
-        nz = [(j, c) for j, c in enumerate(con.coeffs) if c != 0]
-        if len(nz) == 1 and con.rhs == 0:
-            j, c = nz[0]
-            if (con.relation == ">=" and c > 0) or (con.relation == "<=" and c < 0):
-                nonneg[j] = True
-                continue
-        rows.append(con)
-
-    pos_col = [0] * m
-    neg_col = [-1] * m
-    ncols = 0
-    for j in range(m):
-        pos_col[j] = ncols
-        ncols += 1
-        if not nonneg[j]:
-            neg_col[j] = ncols
-            ncols += 1
-    nstruct = ncols + sum(1 for con in rows if con.relation != "=")
+    rows = system.constraints
+    nstruct = m + sum(1 for con in rows if con.relation != "=")
 
     tableau: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     basis: list[int] = []
     zero, one = Fraction(0), Fraction(1)
-    slack_at = ncols
+    slack_at = m
     art_at = nstruct
     for con in rows:
         row = [zero] * (nstruct + len(rows))
         for j, c in enumerate(con.coeffs):
             if c:
-                row[pos_col[j]] = Fraction(c)
-                if neg_col[j] >= 0:
-                    row[neg_col[j]] = Fraction(-c)
+                row[j] = Fraction(c)
         b = Fraction(con.rhs)
-        if con.relation == "<=":
-            row[slack_at] = one
-            slack_col = slack_at
-            slack_at += 1
-        elif con.relation == ">=":
+        if con.relation == ">=":
             row[slack_at] = -one
             slack_col = slack_at
             slack_at += 1
@@ -198,13 +238,7 @@ def reference_feasibility(system: LinearSystem) -> FeasibilityResult:
     values = [zero] * width
     for i, c in enumerate(basis):
         values[c] = rhs[i]
-    x = []
-    for j in range(m):
-        v = values[pos_col[j]]
-        if neg_col[j] >= 0:
-            v -= values[neg_col[j]]
-        x.append(v)
-    return FeasibilityResult(True, tuple(x))
+    return FeasibilityResult(True, tuple(values[:m]))
 
 
 def _reference_pivot(tableau, rhs, zrow, enter, leave):
@@ -1132,9 +1166,10 @@ def growing_block_word(blocks: int) -> list[int]:
 
 
 def random_system(rng: random.Random, max_vars: int = 4,
-                  max_cons: int = 8) -> LinearSystem:
+                  max_cons: int = 8) -> GeneralSystem:
+    """Free columns, integer rows of all three relations."""
     num_vars = rng.randint(1, max_vars)
-    system = LinearSystem(num_vars)
+    system = GeneralSystem(num_vars)
     for _ in range(rng.randint(1, max_cons)):
         coeffs = [rng.randint(-5, 5) for _ in range(num_vars)]
         system.add(coeffs, rng.choice(["=", "<=", ">="]), rng.randint(-5, 5))
@@ -1142,13 +1177,13 @@ def random_system(rng: random.Random, max_vars: int = 4,
 
 
 def random_rational_system(rng: random.Random, max_vars: int = 5,
-                           max_cons: int = 8) -> LinearSystem:
+                           max_cons: int = 8) -> GeneralSystem:
     """Mixed relations, rational coefficients and right-hand sides of
     both signs, a random set of nonneg columns and occasional
     single-variable sign rows; the remaining columns are free."""
     num_vars = rng.randint(1, max_vars)
-    system = LinearSystem(num_vars, nonneg=[rng.random() < 0.5
-                                            for _ in range(num_vars)])
+    system = GeneralSystem(num_vars, nonneg=[rng.random() < 0.5
+                                             for _ in range(num_vars)])
 
     def value():
         if rng.random() < 0.3:

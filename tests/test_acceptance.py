@@ -311,11 +311,14 @@ def test_criterion_7_lp_kernel():
     mismatches = 0
     recheck_failures = 0
     for _ in range(1000):
-        system = random_system(rng)
+        # free columns and <= rows, solved in the solver's form
+        general = random_system(rng)
+        system, back = general.solver_form()
         result = solve_feasibility(system)
-        if result.feasible != fm_feasible(system):
+        if result.feasible != fm_feasible(general):
             mismatches += 1
-        if result.feasible and not system.satisfied_by(result.assignment):
+        if result.feasible and not general.satisfied_by(
+                back(result.assignment)):
             recheck_failures += 1
     ok = mismatches == 0 and recheck_failures == 0
     announce(7, "LP kernel vs Fourier-Motzkin", ok,

@@ -510,6 +510,15 @@ def test_frequency_vector_validation():
     assert f.values == (Fraction(2, 3), Fraction(1, 3))
 
 
+def test_frequency_strings_refuse_exponent_notation():
+    for text in ("1e-99999999,1", "1E0,0", "0.5,5e-1"):
+        with pytest.raises(ContractError, match="exponent"):
+            FrequencyVector.parse(text)
+    with pytest.raises(ContractError, match="exponent"):
+        FrequencyVector.of("1e-99999999", 1)
+    assert FrequencyVector.parse("0.25,0.75").nums == (1, 3)
+
+
 def test_goal_construction():
     assert Goal.balanced().kind == "balanced"
     with pytest.raises(ContractError):

@@ -637,6 +637,21 @@ def test_thirty_digit_frequencies_take_bounded_time_and_memory(tmp_path):
         assert int(child.stderr.split()[-1]) < 100 * 1024  # kB
 
 
+def test_exponent_notation_frequency_is_refused_at_once(two_loops_file):
+    # Fraction("1e-99999999") would build 10**99999999 before any check
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(colorgames.__file__).resolve().parent.parent))
+    started = time.monotonic()
+    child = subprocess.run(
+        [sys.executable, "-m", "colorgames.cli", "analyze", "--arena",
+         two_loops_file, "--goal", "freq", "--freq", "1e-99999999,1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert time.monotonic() - started < 5
+    assert child.returncode == 2
+    report = json.loads(child.stdout)  # exactly one JSON document
+    assert "exponent" in report["error"]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 16])
 def test_max_abs_diff_matches_per_edge_count(k):
     # zero-difference walks repeated after an access path, and random

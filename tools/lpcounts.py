@@ -20,9 +20,10 @@ in-process pass times, and these counts, each with what it wraps:
   a cover row and of ``_LimitProblem.solve_full_support``, the bounded
   goal's; a checkout without ``solve_full_support`` reports zero;
 - ``tarjan_runs``: calls of ``graphs._tarjan``, one per
-  ``edge_components`` call: a decision's components, each regrouping
-  of bounded support pruning, and the one-component check of a loop
-  decomposition;
+  ``edge_components`` call: a decision's components and each regrouping
+  of bounded support pruning.  The deciders' loop decomposition
+  (``graphs._loops``) makes none; only the public
+  ``decompose_circulation`` checks that a support lies in one component;
 - ``node_records`` and ``edge_records``: ``arena.Node`` and
   ``arena.Edge`` initializers, which run when ``arena.nodes`` or
   ``arena.edges`` is first read, as witnesses are turned into records;
