@@ -262,7 +262,7 @@ class _LimitProblem:
             flow[dst][mi] += 1
             flow[src][mi] -= 1
         return factor_rows(len(self.macros), [
-            Constraint.integral(row, "=") for row in
+            (row, "=", 0) for row in
             [*map(flow.get, self.retained), *self.rate_rows[:-1]]])
 
     def system(self, cover: set[int] | None = None) -> LinearSystem:
@@ -271,13 +271,12 @@ class _LimitProblem:
         ``build_color_limit_system``; with a set of macro indices the row
         sum_{m in cover} y_m >= 1 is emitted instead."""
         if cover is None:
-            row = Constraint.integral(
-                [length for *_, length in self.macros], "=", 1)
+            row = ([length for *_, length in self.macros], "=", 1)
         else:
-            row = Constraint.integral(
-                [int(mi in cover) for mi in range(len(self.macros))], ">=", 1)
-        return LinearSystem(len(self.macros), [*self.factored.rows, row],
-                            start=self.factored)
+            row = ([int(mi in cover) for mi in range(len(self.macros))],
+                   ">=", 1)
+        return LinearSystem.integral(
+            len(self.macros), [*self.factored.rows, row], self.factored)
 
     def solve(self, cover: set[int] | None = None) -> list[int] | None:
         """Primitive integer macro loads of a feasible solution, or None;
@@ -303,12 +302,10 @@ class _LimitProblem:
             return None
         n, f = len(self.macros), self.factored
         start = FactoredRows(n + 1, tuple(
-            Constraint.integral([*con.coeffs, sum(con.coeffs)], "=")
-            for con in f.rows),
+            ([*a, sum(a)], "=", 0) for a, _, _ in f.rows),
             tuple([*row, sum(row)] for row in f.tableau), f.basis)
-        result = solve_feasibility(LinearSystem(
-            n + 1, [*start.rows, Constraint.integral([0] * n + [1], "=", 1)],
-            start=start))
+        result = solve_feasibility(LinearSystem.integral(
+            n + 1, [*start.rows, ([0] * n + [1], "=", 1)], start))
         if not result.feasible:
             return None
         *u, t = result.assignment

@@ -15,19 +15,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import attrgetter, mul
 
 from .arena import ContractError
 
 RELATIONS = ("=", ">=")
-_numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
 
 
 @dataclass(frozen=True)
 class Constraint:
+    """A row a.x (relation) b with rational entries, the public way to
+    write one; a ``LinearSystem`` holds it as its integer row."""
+
     coeffs: tuple[Fraction | int, ...]
     relation: str
     rhs: Fraction | int
@@ -36,53 +37,48 @@ class Constraint:
         if self.relation not in RELATIONS:
             raise ContractError(f"unknown relation {self.relation!r}")
 
-    @classmethod
-    def integral(cls, coeffs: list[int], relation: str, rhs: int = 0):
-        """Integer coefficients, held directly as the integer row."""
-        con = cls(tuple(coeffs), relation, rhs)
-        con.__dict__["integer_row"] = (coeffs, rhs, 1)
-        return con
-
-    def holds(self, x, den: int = 1) -> bool:
-        """Does the constraint hold at x / den (den > 0)?  Exact for
-        rational x, and free of Fraction arithmetic for integral x."""
-        a, b, _ = self.integer_row
-        lhs = sum(map(mul, a, x))
-        if self.relation == "=":
-            return lhs == b * den
-        return lhs >= b * den
-
-    @cached_property
-    def integer_row(self) -> tuple[list[int], int, int]:
-        """(s*coeffs, s*rhs, s) for the least s > 0 that makes the
-        coefficients and the right-hand side integral.  Read-only; a list
-        because freed tuples of row length stay in CPython's per-size
-        tuple free lists, which raised peak memory by ~5%."""
+    @property
+    def row(self) -> tuple[list[int], str, int]:
+        """(s*coeffs, relation, s*rhs) for the least s > 0 that makes the
+        coefficients and the right-hand side integral."""
         scale = lcm(self.rhs.denominator, *map(_denominator, self.coeffs))
-        if scale == 1:
-            return list(map(_numerator, self.coeffs)), self.rhs.numerator, 1
+        rhs = self.rhs.numerator * (scale // self.rhs.denominator)
         return ([c.numerator * (scale // c.denominator) for c in self.coeffs],
-                self.rhs.numerator * (scale // self.rhs.denominator), scale)
+                self.relation, rhs)
 
 
 class LinearSystem:
     """A conjunction of exact linear constraints over m variables, each
-    x_j >= 0.  ``start``, when given, is the ``factor_rows`` form of the
-    system's leading constraints.
+    x_j >= 0, held as integer rows (coefficient list, relation,
+    right-hand side).  ``start``, when given, is the ``factor_rows`` form
+    of the system's leading rows.
     """
 
     def __init__(self, num_vars: int, constraints=(),
                  start: FactoredRows | None = None):
         self.num_vars = num_vars
-        self.constraints: list[Constraint] = []
+        self.constraints: list[tuple[list[int], str, int]] = []
         for con in constraints:
             if isinstance(con, Constraint):
                 self.add_constraint(con)
             else:
                 self.add(*con)
+        self._lead(start)
+
+    @classmethod
+    def integral(cls, num_vars: int, rows: list,
+                 start: FactoredRows | None = None) -> LinearSystem:
+        """A system over integer rows of width ``num_vars``, held as they
+        are: the rows the deciders build."""
+        system = cls.__new__(cls)
+        system.num_vars, system.constraints = num_vars, rows
+        system._lead(start)
+        return system
+
+    def _lead(self, start: FactoredRows | None) -> None:
         self.start = start
-        if start and (start.num_vars != num_vars or
-                      tuple(self.constraints[:len(start.rows)]) != start.rows):
+        if start and (start.num_vars != self.num_vars or tuple(
+                self.constraints[:len(start.rows)]) != start.rows):
             raise ContractError("factored rows must lead the system")
 
     def add_constraint(self, con: Constraint) -> None:
@@ -90,20 +86,27 @@ class LinearSystem:
             raise ContractError(
                 f"constraint has {len(con.coeffs)} coefficients, "
                 f"system has {self.num_vars} variables")
-        self.constraints.append(con)
+        self.constraints.append(con.row)
 
     def add(self, coeffs, relation: str, rhs) -> None:
         self.add_constraint(Constraint(
             tuple(Fraction(c) for c in coeffs), relation, Fraction(rhs)))
 
     def satisfied_by(self, x) -> bool:
-        """Exact check of every constraint and of x >= 0 at a vector of
+        """Exact check of every row and of x >= 0 at a vector of
         rationals (ints or Fractions)."""
         if len(x) != self.num_vars or any(v < 0 for v in x):
             return False
         den = lcm(*map(_denominator, x))
         xs = [v.numerator * (den // v.denominator) for v in x]
-        return all(con.holds(xs, den) for con in self.constraints)
+        return all(_holds(row, xs, den) for row in self.constraints)
+
+
+def _holds(row, x, den: int = 1) -> bool:
+    """Does the integer row hold at x / den (den > 0)?"""
+    a, relation, b = row
+    lhs = sum(map(mul, a, x))
+    return lhs == b * den if relation == "=" else lhs >= b * den
 
 
 @dataclass(frozen=True)
@@ -125,10 +128,9 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     m = system.num_vars
     start = system.start
     rows = system.constraints[len(start.rows) if start else 0:]
-    nstruct = m + sum(1 for con in rows if con.relation != "=")
+    nstruct = m + sum(1 for _, relation, _ in rows if relation != "=")
 
-    # Each row starts as its constraint times the lcm of the
-    # constraint's denominators.  Artificial variables get basis
+    # Each row starts as its integer row.  Artificial variables get basis
     # indices from nstruct on but no tableau column: a basic artificial
     # has zero reduced cost and one that leaves the basis may not
     # return, so their columns are never read.  A warm start copies the
@@ -140,18 +142,17 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     factored = list(zip(tableau, basis))
     rhs = [0] * len(tableau)
     zrow = [0] * nstruct
-    art_scales: list[tuple[int, list[int]]] = []
+    art_rows: list[list[int]] = []
     slack_at = m
     art_at = nstruct
-    for con in rows:
-        a, b, scale = con.integer_row
+    for a, relation, b in rows:
         row = [*a, *pad]
-        if con.relation == "=":
+        if relation == "=":
             slack_col = -1
         else:
             slack_col = slack_at
             slack_at += 1
-            row[slack_col] = -scale
+            row[slack_col] = -1
         for prow, c in factored:
             f = row[c]
             if f:
@@ -168,18 +169,16 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
         else:
             basis.append(art_at)
             art_at += 1
-            art_scales.append((scale, row))
+            art_rows.append(row)
         g = gcd(b, *row)
         tableau.append([v // g for v in row] if g > 1 else row)
         rhs.append(b // g if g > 1 else b)
 
     # Phase-1 objective: minimize the sum of artificial variables.  The
     # reduced-cost row is minus the sum of the artificial rows as
-    # written (each row over its own scale), cleared of denominators.
-    common = lcm(*(scale for scale, _ in art_scales))
-    for scale, row in art_scales:
-        f = common // scale
-        zrow = [z - f * v for z, v in zip(zrow, row)]
+    # written.
+    for row in art_rows:
+        zrow = [z - v for z, v in zip(zrow, row)]
     zrow = _primitive(zrow)
 
     # every tableau row counts, factored ones too, so that a warm and a
@@ -235,19 +234,19 @@ class FactoredRows:
     in column basis[i] (entry > 0, right-hand side 0); implied rows go."""
 
     num_vars: int
-    rows: tuple[Constraint, ...]
+    rows: tuple[tuple[list[int], str, int], ...]
     tableau: tuple[list[int], ...]
     basis: tuple[int, ...]
 
 
 def factor_rows(num_vars: int, rows) -> FactoredRows:
-    """Eliminate each row in turn on its first unit entry (else its first
-    nonzero entry), by the same fraction-free pivot as phase 1."""
+    """Eliminate each integer row in turn on its first unit entry (else
+    its first nonzero entry), by the same fraction-free pivot as phase 1."""
     rows = tuple(rows)
-    if any(con.relation != "=" or con.rhs or len(con.coeffs) != num_vars
-           for con in rows):
+    if any(relation != "=" or rhs or len(a) != num_vars
+           for a, relation, rhs in rows):
         raise ContractError("only homogeneous equality rows factor")
-    tableau = [list(con.integer_row[0]) for con in rows]
+    tableau = [list(a) for a, _, _ in rows]
     zero, zrow, kept = [0] * len(tableau), [0] * num_vars, []
     for i, row in enumerate(tableau):
         nz = [j for j, v in enumerate(row) if v]
@@ -305,7 +304,7 @@ def integer_scale(assignment, system: LinearSystem) -> list[int]:
     the least common multiple of the denominators keeps them satisfied
     exactly.
     """
-    inhomogeneous = [con for con in system.constraints if con.rhs != 0]
+    inhomogeneous = [row for row in system.constraints if row[2] != 0]
     if len(inhomogeneous) > 1:
         raise ContractError(
             "system has more than one non-homogeneous constraint")
@@ -316,8 +315,8 @@ def integer_scale(assignment, system: LinearSystem) -> list[int]:
         raise ContractError("assignment has no positive entry")
     scale = lcm(*(v.denominator for v in values))
     scaled = [v.numerator * (scale // v.denominator) for v in values]
-    for con in system.constraints:
-        if con.rhs == 0 and not con.holds(scaled):
+    for row in system.constraints:
+        if row[2] == 0 and not _holds(row, scaled):
             raise RuntimeError("scaled solution violates a homogeneous "
                                "constraint; scaling bug")
     return scaled

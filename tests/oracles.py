@@ -154,12 +154,13 @@ def _dedupe(rows):
 
 
 def reference_feasibility(system: LinearSystem) -> FeasibilityResult:
-    """Phase-1 Bland simplex on a dense Fraction tableau, the reference
-    for the package's integer-row solver: both must take the same pivots,
-    so flag and assignment agree exactly."""
+    """Phase-1 Bland simplex on a dense Fraction tableau of the system's
+    integer rows, the reference for the package's integer-row solver:
+    both must take the same pivots, so flag and assignment agree
+    exactly."""
     m = system.num_vars
     rows = system.constraints
-    nstruct = m + sum(1 for con in rows if con.relation != "=")
+    nstruct = m + sum(1 for _, relation, _ in rows if relation != "=")
 
     tableau: list[list[Fraction]] = []
     rhs: list[Fraction] = []
@@ -167,13 +168,13 @@ def reference_feasibility(system: LinearSystem) -> FeasibilityResult:
     zero, one = Fraction(0), Fraction(1)
     slack_at = m
     art_at = nstruct
-    for con in rows:
+    for coeffs, relation, rhs_value in rows:
         row = [zero] * (nstruct + len(rows))
-        for j, c in enumerate(con.coeffs):
+        for j, c in enumerate(coeffs):
             if c:
                 row[j] = Fraction(c)
-        b = Fraction(con.rhs)
-        if con.relation == ">=":
+        b = Fraction(rhs_value)
+        if relation == ">=":
             row[slack_at] = -one
             slack_col = slack_at
             slack_at += 1

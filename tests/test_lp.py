@@ -273,8 +273,8 @@ def test_warm_start_from_factored_rows_matches_reference_verdicts():
     feasible = 0
     for _ in range(400):
         n = rng.randint(1, 6)
-        rows = [Constraint.integral([rng.randint(-3, 3) for _ in range(n)],
-                                    "=") for _ in range(rng.randint(0, 5))]
+        rows = [([rng.randint(-3, 3) for _ in range(n)], "=", 0)
+                for _ in range(rng.randint(0, 5))]
         start = factor_rows(n, rows)
         tableau = [list(row) for row in start.tableau]
         assert len(start.basis) <= len(rows)
@@ -297,12 +297,16 @@ def test_warm_start_from_factored_rows_matches_reference_verdicts():
 
 def test_factored_rows_must_lead_a_nonnegative_system():
     # every system is nonnegative, so the factored rows need only lead it
-    rows = [Constraint.integral([1, -1], "=")]
+    rows = [([1, -1], "=", 0)]
     start = factor_rows(2, rows)
     assert LinearSystem(2, rows, start=start).start is start
+    assert LinearSystem.integral(2, [*rows], start).start is start
+    for system in (LinearSystem, LinearSystem.integral):
+        with pytest.raises(ContractError):
+            system(2, [([1, 1], "=", 0)], start)
+        with pytest.raises(ContractError):
+            system(2, [], start)
     with pytest.raises(ContractError):
-        LinearSystem(2, [Constraint.integral([1, 1], "=")], start=start)
+        factor_rows(2, [([1, 1], ">=", 0)])
     with pytest.raises(ContractError):
-        LinearSystem(2, start=start)
-    with pytest.raises(ContractError):
-        factor_rows(2, [Constraint.integral([1, 1], ">=")])
+        factor_rows(2, [([1, 1], "=", 1)])
