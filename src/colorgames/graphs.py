@@ -14,7 +14,9 @@ Bounded-difference paths are decided through zero-difference closed
 walks: each group of edges first asks for one zero-difference
 circulation that loads all of its chains, whose Eulerian circuit is the
 witness walk; failing that, edges that cannot carry load in any
-zero-difference circulation are pruned and the survivors regrouped.
+zero-difference circulation are pruned and the survivors regrouped,
+unless one group's survivors form one component, whose summed cover
+loads are then the walk.
 
 The deciders are pure and run on the arena's contracted graph, where
 each desugared chain is one edge of length k with one of every color;
@@ -56,7 +58,8 @@ LimitMatrix = SimpleNamespace(zero=FrequencyVector.uniform,
 
 
 def _tarjan(num_nodes: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components come out in reverse topological order."""
+    """Iterative Tarjan; components come out in reverse topological order.
+    A node without successors is visited only when some edge reaches it."""
     index = [-1] * num_nodes
     low = [0] * num_nodes
     on_stack = [False] * num_nodes
@@ -64,7 +67,7 @@ def _tarjan(num_nodes: int, succ: Sequence[Sequence[int]]) -> list[list[int]]:
     comps: list[list[int]] = []
     counter = 0
     for root in range(num_nodes):
-        if index[root] != -1:
+        if index[root] != -1 or not succ[root]:
             continue
         index[root] = low[root] = counter
         counter += 1
@@ -217,16 +220,14 @@ class _LimitProblem:
         k = rates.k
         src, dst, color = arena.edge_src, arena.edge_dst, arena.edge_color
         indeg: dict[int, int] = {}
-        outdeg: dict[int, int] = {}
         out_by: dict[int, list[int]] = {}
         for eid in self.edge_ids:
-            u, v = src[eid], dst[eid]
-            outdeg[u] = outdeg.get(u, 0) + 1
+            out_by.setdefault(src[eid], []).append(eid)
+            v = dst[eid]
             indeg[v] = indeg.get(v, 0) + 1
-            out_by.setdefault(u, []).append(eid)
-        nodes = outdeg.keys() | indeg.keys()
+        nodes = out_by.keys() | indeg.keys()
         retained = {v for v in nodes
-                    if indeg.get(v, 0) != 1 or outdeg.get(v, 0) != 1
+                    if indeg.get(v, 0) != 1 or len(out_by.get(v, ())) != 1
                     } or {min(nodes)}
         self.retained = sorted(retained)  # node positions, in index order
         self.macros: list[tuple] = []  # (src, dst, ids, counts, length)
@@ -771,7 +772,11 @@ def _zero_diff_component_walk(graph, edge_ids, k):
     over the chains no solution has loaded yet, so a feasible solve
     loads at least one of them and an infeasible one, which must come,
     prunes all of them.  That is at most (surviving chains + 2) solves
-    per group and round.  The surviving set shrinks strictly each round,
+    per group and round.  The sum of the cover solutions is a
+    zero-difference circulation whose support is the survivors, so when
+    a round's one group leaves survivors that form one component, the
+    next round's full-support solve could not fail: that sum's Eulerian
+    circuit is the walk.  The surviving set shrinks strictly each round,
     so at most |E| rounds.  The component's edges are strongly
     connected, so round 1 has one group; later rounds take the
     survivors' components smallest edge first.
@@ -795,8 +800,13 @@ def _zero_diff_component_walk(graph, edge_ids, k):
                     if v:
                         total[mi] += v
                         uncovered.discard(mi)
-            kept.extend(problem.expand(total))
+            loads = problem.expand(total)
+            kept.extend(loads)
         if not kept:
             return None
-        groups = sorted(edge_components(graph, kept), key=itemgetter(0))
+        regrouped = edge_components(graph, kept)
+        if len(groups) == len(regrouped) == 1 \
+                and len(regrouped[0]) == len(kept):
+            return _euler(graph, loads)
+        groups = sorted(regrouped, key=itemgetter(0))
     raise InternalCheckError("support pruning failed to converge")

@@ -7,8 +7,10 @@ termination under degeneracy.  Every variable is nonnegative and every
 row is an ``=`` or a ``>=`` row, the shape of the load systems the
 deciders build; a free variable is written x+ - x-, and a ``<=`` row
 negated.  Callers encode strict positivity through a normalization row.
-Homogeneous equality rows can be factored once (``factor_rows``) into a
-basis feasible at x = 0, from which systems that lead with them start.
+A system holds each row as an integer row (coefficient list, relation,
+right-hand side).  Homogeneous equality rows can be factored once
+(``factor_rows``) into a basis feasible at x = 0, from which systems
+that lead with them start.
 """
 
 from __future__ import annotations
@@ -95,11 +97,12 @@ class LinearSystem:
     def satisfied_by(self, x) -> bool:
         """Exact check of every row and of x >= 0 at a vector of
         rationals (ints or Fractions)."""
-        if len(x) != self.num_vars or any(v < 0 for v in x):
+        if len(x) != self.num_vars:
             return False
         den = lcm(*map(_denominator, x))
         xs = [v.numerator * (den // v.denominator) for v in x]
-        return all(_holds(row, xs, den) for row in self.constraints)
+        return min(xs, default=0) >= 0 and all(
+            _holds(row, xs, den) for row in self.constraints)
 
 
 def _holds(row, x, den: int = 1) -> bool:
@@ -219,7 +222,7 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
 
     x = [Fraction(0)] * m
     for i, c in enumerate(basis):
-        if c < m:
+        if c < m and rhs[i]:
             x[c] = Fraction(rhs[i], tableau[i][c])
     assignment = tuple(x)
     if not system.satisfied_by(assignment):
@@ -281,8 +284,10 @@ def _pivot(tableau, rhs, zrow, enter, leave):
                 row[:] = [v // g for v in row]
                 b //= g
             rhs[i] = b
-    _eliminate(zrow, prow, nz, piv, zrow[enter])
-    zrow[:] = _primitive(zrow)
+    f = zrow[enter]
+    if f:  # zero while rows are factored
+        _eliminate(zrow, prow, nz, piv, f)
+        zrow[:] = _primitive(zrow)
 
 
 def _eliminate(row, prow, nz, piv, f):
@@ -304,8 +309,8 @@ def integer_scale(assignment, system: LinearSystem) -> list[int]:
     the least common multiple of the denominators keeps them satisfied
     exactly.
     """
-    inhomogeneous = [row for row in system.constraints if row[2] != 0]
-    if len(inhomogeneous) > 1:
+    homogeneous = [row for row in system.constraints if row[2] == 0]
+    if len(system.constraints) - len(homogeneous) > 1:
         raise ContractError(
             "system has more than one non-homogeneous constraint")
     values = [Fraction(v) for v in assignment]
@@ -315,8 +320,8 @@ def integer_scale(assignment, system: LinearSystem) -> list[int]:
         raise ContractError("assignment has no positive entry")
     scale = lcm(*(v.denominator for v in values))
     scaled = [v.numerator * (scale // v.denominator) for v in values]
-    for row in system.constraints:
-        if row[2] == 0 and not _holds(row, scaled):
+    for row in homogeneous:
+        if not _holds(row, scaled):
             raise RuntimeError("scaled solution violates a homogeneous "
                                "constraint; scaling bug")
     return scaled

@@ -73,23 +73,6 @@ class PathSchedule:
         """Connector edges per round: m = sum |conn_j|."""
         return sum(len(c) for c in self.connectors)
 
-    def round_edges(self, i: int) -> list[Edge]:
-        if i < 1:
-            raise ContractError("rounds are numbered from 1")
-        out: list[Edge] = []
-        for loop, c, conn in zip(self.loops, self.coeffs, self.connectors):
-            out.extend(loop.edges * (i * c))
-            out.extend(conn)
-        return out
-
-    def round_length(self, i: int) -> int:
-        return self.connector_weight() + i * self.loop_weight()
-
-    def boundary(self, i: int) -> int:
-        """Prefix length at the end of round i."""
-        n, m = self.loop_weight(), self.connector_weight()
-        return i * m + n * i * (i + 1) // 2
-
     def to_json_dict(self) -> dict:
         return {
             "start": self.start,

@@ -878,8 +878,10 @@ def reference_graph_decide(arena: ColoredArena, goal: Goal) -> GraphDecision:
     """The one-player decision as a game's cache miss made it before
     misses stayed on the contracted graph: components, load programs and
     bounded support pruning on ``arena``'s expanded tables and edge ids,
-    loops by the unit walk, bounded walks by ``eulerian_circuit``.  The
-    arena is a pruned one, so every edge is reachable."""
+    loops by the unit walk, bounded walks by ``eulerian_circuit``.  A
+    pruning round with one group whose survivors form one component
+    walks the sum of its cover loads.  The arena is a pruned one, so
+    every edge is reachable."""
     rates = goal.rates(arena.k)
     zero = FrequencyVector.uniform(arena.k)
     for group in edge_components(arena, range(len(arena.edges))):
@@ -910,7 +912,11 @@ def reference_graph_decide(arena: ColoredArena, goal: Goal) -> GraphDecision:
                             total[mi] += v
                             uncovered.discard(mi)
                 kept.extend(problem.expand(total))
-            groups = sorted(edge_components(arena, kept), key=min)
+            survivors = edge_components(arena, kept)
+            if len(groups) == 1 and [sorted(kept)] == survivors:
+                return GraphDecision(True, eulerian_circuit(
+                    arena, Circulation(problem.expand(total))))
+            groups = sorted(survivors, key=min)
     return GraphDecision(False)
 
 
@@ -988,6 +994,30 @@ def reference_stream(schedule: PathSchedule) -> Iterator[Edge]:
                 yield from loop.edges
             yield from conn
         i += 1
+
+
+def round_edges(schedule: PathSchedule, i: int) -> list[Edge]:
+    """Round i of a schedule as one list: i * c_j copies of loop j, each
+    followed by its connector."""
+    if i < 1:
+        raise ContractError("rounds are numbered from 1")
+    out: list[Edge] = []
+    for loop, c, conn in zip(schedule.loops, schedule.coeffs,
+                             schedule.connectors):
+        out.extend(loop.edges * (i * c))
+        out.extend(conn)
+    return out
+
+
+def round_length(schedule: PathSchedule, i: int) -> int:
+    """Edges in round i: the connectors plus i unit rounds of loops."""
+    return schedule.connector_weight() + i * schedule.loop_weight()
+
+
+def round_boundary(schedule: PathSchedule, i: int) -> int:
+    """Prefix length at the end of round i (0 for i = 0)."""
+    n, m = schedule.loop_weight(), schedule.connector_weight()
+    return i * m + n * i * (i + 1) // 2
 
 
 def reference_bounded_stream(walk: FinitePath,

@@ -28,8 +28,8 @@ from colorgames.synth import convergence_profile
 from builders import TWO_LOOPS, build_arena
 from oracles import (diff_matrix, fm_feasible, growing_block_word,
                      loop_combination_exists, random_connected_arena,
-                     random_formula, random_system, tautology_bruteforce,
-                     zero_diff_walk_exists)
+                     random_formula, random_system, round_boundary,
+                     tautology_bruteforce, zero_diff_walk_exists)
 
 GOALS = (Goal.balanced(), Goal.bounded())
 
@@ -249,7 +249,8 @@ def test_criterion_4_witness_soundness(cnf_sweep, graph_family):
 
 
 def _boundary_envelope_holds(schedule, limit, rounds_fitted, rounds_checked):
-    marks = [schedule.boundary(i) for i in range(1, rounds_checked + 1)]
+    marks = [round_boundary(schedule, i)
+             for i in range(1, rounds_checked + 1)]
     devs = convergence_profile(stream(schedule), marks, limit)
     c_squared = Fraction(0)
     for (n, dev) in devs[:rounds_fitted]:
@@ -273,7 +274,7 @@ def test_criterion_5_convergence():
     env_w = _boundary_envelope_holds(weighted, limit, 50, 100)
 
     # mid-round peaks of the balanced schedule sit exactly on dev^2*n == 1
-    peaks = [balanced.boundary(i - 1) + i for i in range(1, 101)]
+    peaks = [round_boundary(balanced, i - 1) + i for i in range(1, 101)]
     peak_devs = convergence_profile(stream(balanced), peaks, zero)
     peak_sq = {dev * dev * n for n, dev in peak_devs}
 

@@ -408,15 +408,19 @@ def test_cover_row_pruning_matches_forced_edge_reference(monkeypatch):
     # that group's edges.  Per group and round it spends one solve when
     # every edge survives (the full-support solve), and otherwise at most
     # (survivors + 2): the failed full-support solve, one feasible cover
-    # solve per surviving edge at most, and the final infeasible one
+    # solve per surviving edge at most, and the final infeasible one.  A
+    # round with one group whose survivors form one component walks the
+    # sum of its cover loads and builds no further load program
     from colorgames import graphs
     problems = []  # [edge ids, solves] per group and round
     rounds = []  # rounds per pruned component
+    events = []  # "walk", "problem" and ("regroup", one component or None)
 
     class CountedProblem(graphs._LimitProblem):
         def __init__(self, *args):
             super().__init__(*args)
             problems.append([self.edge_ids, 0])
+            events.append("problem")
 
     def counted_solve(system):
         problems[-1][1] += 1
@@ -426,18 +430,22 @@ def test_cover_row_pruning_matches_forced_edge_reference(monkeypatch):
 
     def counted_walk(*args, walk=graphs._zero_diff_component_walk):
         rounds.append(1)  # round 1 prunes the component as one group
+        events.append("walk")
         inside.append(True)
         try:
             return walk(*args)
         finally:
             inside.pop()
 
-    def counted_groups(*args, groups=graphs.edge_components):
+    def counted_groups(graph, edge_ids, groups=graphs.edge_components):
         # the deciders find the top-level components through the same
         # routine; only regroupings between pruning rounds count
+        found = groups(graph, edge_ids)
         if inside:
             rounds[-1] += 1
-        return groups(*args)
+            events.append(("regroup", sorted(edge_ids)
+                           if found == [sorted(edge_ids)] else None))
+        return found
 
     monkeypatch.setattr(graphs, "_LimitProblem", CountedProblem)
     monkeypatch.setattr(graphs, "solve_feasibility", counted_solve)
@@ -451,10 +459,11 @@ def test_cover_row_pruning_matches_forced_edge_reference(monkeypatch):
                             ("d", 1, "b"), ("b", 1, "a"), ("a", 2, "b")])
     rng = random.Random(83)
     arenas = [fixed] + [random_pruning_arena(rng) for _ in range(150)]
-    exists = multi_round = full = 0
+    exists = multi_round = full = summed = 0
     for arena in arenas:
         problems.clear()
         rounds.clear()
+        events.clear()
         decision = decide_bounded_path(arena)
         verdict, fixpoint = reference_zero_diff_support(arena)
         assert decision.exists == verdict
@@ -473,8 +482,18 @@ def test_cover_row_pruning_matches_forced_edge_reference(monkeypatch):
                 full += 1
             else:
                 assert solves <= len(survivors) + 2
+        for i, event in enumerate(events):
+            one_group = events[i - 1] == "problem" and (
+                events[i - 2] == "walk" or events[i - 2][0] == "regroup")
+            if event[0] == "regroup" and event[1] and one_group:
+                # its survivors are one component, the reference's
+                # fixpoint, and the decision ends with the round
+                summed += 1
+                assert event[1] == sorted(fixpoint)
+                assert i == len(events) - 1
         multi_round += max(rounds, default=0) >= 2
     assert 30 <= exists <= 140 and multi_round >= 20 and full >= 30
+    assert summed >= 10
 
 
 def test_full_support_solve_matches_surviving_edges_reference():

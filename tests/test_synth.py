@@ -18,7 +18,8 @@ from builders import TWO_LOOPS, build_arena
 from oracles import (diff_matrix, enumerate_simple_cycles,
                      growing_block_word, random_connected_arena,
                      reference_bounded_stream, reference_profile,
-                     reference_shortest_path, reference_stream)
+                     reference_shortest_path, reference_stream,
+                     round_boundary, round_edges, round_length)
 
 
 def two_loop_schedule(freq=None):
@@ -34,8 +35,8 @@ def two_loop_schedule(freq=None):
 def test_schedule_two_self_loops():
     _, sched = two_loop_schedule()
     assert sched.connectors == ((), ())
-    assert [e.color for e in sched.round_edges(1)] == [1, 2]
-    assert [e.color for e in sched.round_edges(3)] == [1] * 3 + [2] * 3
+    assert [e.color for e in round_edges(sched, 1)] == [1, 2]
+    assert [e.color for e in round_edges(sched, 3)] == [1] * 3 + [2] * 3
 
 
 def test_schedule_adjacent_loops_have_unit_connectors():
@@ -46,15 +47,15 @@ def test_schedule_adjacent_loops_have_unit_connectors():
     sched = build_schedule(loops, arena)
     assert [len(c) for c in sched.connectors] == [1, 1]
     # every round is a closed walk through the start
-    walk = FinitePath(sched.round_edges(2))
+    walk = FinitePath(round_edges(sched, 2))
     assert walk.start == walk.end == sched.start
 
 
 def test_schedule_frequency_two_one():
     _, sched = two_loop_schedule(FrequencyVector.of("2/3", "1/3"))
     assert sched.coeffs == (2, 1)
-    assert [e.color for e in sched.round_edges(1)] == [1, 1, 2]
-    assert [e.color for e in sched.round_edges(2)] == [1] * 4 + [2] * 2
+    assert [e.color for e in round_edges(sched, 1)] == [1, 1, 2]
+    assert [e.color for e in round_edges(sched, 2)] == [1] * 4 + [2] * 2
 
 
 def test_schedule_rejects_disconnected_loops():
@@ -98,10 +99,10 @@ def test_stream_single_loop_is_periodic():
 def test_round_boundary_arithmetic():
     _, sched = two_loop_schedule(FrequencyVector.of("2/3", "1/3"))
     n = sched.loop_weight()
-    bounds = [sched.boundary(i) for i in range(1, 8)]
+    bounds = [round_boundary(sched, i) for i in range(1, 8)]
     for i in range(2, 7):
         assert bounds[i] - bounds[i - 1] == bounds[i - 1] - bounds[i - 2] + n
-        assert bounds[i] - bounds[i - 1] == sched.round_length(i + 1)
+        assert bounds[i] - bounds[i - 1] == round_length(sched, i + 1)
 
 
 def test_stream_adjacency():
@@ -125,7 +126,8 @@ def test_round_closure_identity():
     z = diff_matrix([1], 2) + diff_matrix([2, 2], 2)
     conn = diff_matrix([1], 2) + diff_matrix([2], 2)
     for i in range(1, 7):
-        round_diff = diff_matrix([e.color for e in sched.round_edges(i)], 2)
+        round_diff = diff_matrix(
+            [e.color for e in round_edges(sched, i)], 2)
         assert round_diff == z.scaled(i) + conn
 
 
@@ -140,10 +142,11 @@ def test_measure_convergence_zero_on_period_multiples():
 def test_measure_convergence_boundary_bound_decreasing():
     _, sched = two_loop_schedule()
     zero = FrequencyVector.uniform(2)
-    devs = [measure_convergence(stream(sched), sched.boundary(i), zero)
+    devs = [measure_convergence(stream(sched), round_boundary(sched, i),
+                                zero)
             for i in range(1, 11)]
     for i, d in enumerate(devs, start=1):
-        assert d <= Fraction(i, sched.boundary(i))
+        assert d <= Fraction(i, round_boundary(sched, i))
     assert all(a >= b for a, b in zip(devs, devs[1:]))
 
 
@@ -179,7 +182,7 @@ def test_peak_envelope_is_square_root():
     # i / i^2, so dev^2 * n is exactly 1 at every peak
     _, sched = two_loop_schedule()
     zero = FrequencyVector.uniform(2)
-    peaks = [sched.boundary(i - 1) + i for i in range(1, 60)]
+    peaks = [round_boundary(sched, i - 1) + i for i in range(1, 60)]
     for mark, dev in convergence_profile(stream(sched), peaks, zero):
         assert dev * dev * mark == 1
 
@@ -275,7 +278,7 @@ def random_rates(rng: random.Random, k: int) -> FrequencyVector:
 def test_stream_matches_reference_at_round_boundaries():
     rng = random.Random(41)
     for _, sched in seeded_schedules(41, 40):
-        lengths = {sched.boundary(i) + d for i in range(1, 7)
+        lengths = {round_boundary(sched, i) + d for i in range(1, 7)
                    for d in (-1, 0, 1)}
         lengths |= {0, 1, rng.randint(2, 3000)}
         ref = list(islice(reference_stream(sched), max(lengths)))
@@ -287,7 +290,7 @@ def test_stream_matches_reference_across_long_blocks():
     # coefficients in the thousands make blocks of tens of thousands of
     # edges, emitted as runs of at most 4,096 edges and a remainder
     for _, sched in seeded_schedules(45, 8, most=6000):
-        n = sched.boundary(2) + 1
+        n = round_boundary(sched, 2) + 1
         assert stream(sched).take(n) == list(islice(reference_stream(sched),
                                                     n))
 
@@ -306,10 +309,11 @@ def test_stream_takes_in_pieces_match_reference():
 
 def test_round_edges_match_reference_rounds():
     for _, sched in seeded_schedules(43, 20):
-        ref = list(islice(reference_stream(sched), sched.boundary(5)))
+        ref = list(islice(reference_stream(sched),
+                          round_boundary(sched, 5)))
         for i in range(1, 6):
-            assert sched.round_edges(i) == \
-                ref[sched.boundary(i - 1):sched.boundary(i)]
+            assert round_edges(sched, i) == \
+                ref[round_boundary(sched, i - 1):round_boundary(sched, i)]
 
 
 def test_bounded_stream_matches_reference():
@@ -337,7 +341,7 @@ def test_convergence_profile_matches_per_edge_recount():
         limit = random_rates(rng, arena.k)
         n = rng.randint(1, 4000)
         marks = [rng.randint(1, n) for _ in range(rng.randint(1, 8))]
-        marks += [sched.boundary(1), n]
+        marks += [round_boundary(sched, 1), n]
         ref = reference_profile(reference_stream(sched), marks, limit)
         assert convergence_profile(stream(sched), marks, limit) == ref
         prefix = stream(sched).take(max(marks))

@@ -19,6 +19,10 @@ in-process pass times, and these counts, each with what it wraps:
   ``full_support_feasible``: the solves of ``_LimitProblem.solve`` with
   a cover row and of ``_LimitProblem.solve_full_support``, the bounded
   goal's; a checkout without ``solve_full_support`` reports zero;
+- ``cover_walks``: bounded walks taken from summed cover loads, as
+  calls of ``graphs._zero_diff_component_walk`` that return a walk
+  although the last full-support solve they made failed; zero on a
+  checkout that walks only full-support loads;
 - ``tarjan_runs``: calls of ``graphs._tarjan``, one per
   ``edge_components`` call: a decision's components and each regrouping
   of bounded support pruning.  The deciders' loop decomposition
@@ -75,11 +79,12 @@ def main() -> int:
                             "factor_pivots", "screened", "tarjan_runs",
                             "node_records", "edge_records",
                             "cover_solves", "full_support_solves",
-                            "full_support_feasible", "cache_lookups",
+                            "full_support_feasible", "cover_walks",
+                            "cache_lookups",
                             "cache_misses", "miss_requests",
                             "expansions"), 0)
     graphs, lp = lib.graphs, lib.lp
-    state = {"factoring": False}
+    state = {"factoring": False, "full_support_failed": False}
     solve, pivot = graphs.solve_feasibility, lp._pivot
 
     def counted_solve(system):
@@ -153,8 +158,18 @@ def main() -> int:
                 loads = solves_in("full_support_solves",
                                   super().solve_full_support)
                 counts["full_support_feasible"] += loads is not None
+                state["full_support_failed"] = loads is None
                 return loads
     graphs._LimitProblem = Counted
+    component_walk = graphs._zero_diff_component_walk
+
+    def counted_walk(*a):
+        state["full_support_failed"] = False
+        walk = component_walk(*a)
+        counts["cover_walks"] += (walk is not None
+                                  and state["full_support_failed"])
+        return walk
+    graphs._zero_diff_component_walk = counted_walk
     cache, outcomes = {} if workload.uses_cache else None, []
     for req in requests:
         misses = counts["cache_misses"]
