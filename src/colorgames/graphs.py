@@ -800,13 +800,13 @@ def _zero_diff_component_walk(graph, edge_ids, k):
                     if v:
                         total[mi] += v
                         uncovered.discard(mi)
-            loads = problem.expand(total)
-            kept.extend(loads)
+            summed = problem.expand(total)
+            kept.extend(summed)
         if not kept:
             return None
         regrouped = edge_components(graph, kept)
         if len(groups) == len(regrouped) == 1 \
                 and len(regrouped[0]) == len(kept):
-            return _euler(graph, loads)
+            return _euler(graph, summed)
         groups = sorted(regrouped, key=itemgetter(0))
     raise InternalCheckError("support pruning failed to converge")

@@ -414,13 +414,16 @@ def test_cover_row_pruning_matches_forced_edge_reference(monkeypatch):
     from colorgames import graphs
     problems = []  # [edge ids, solves] per group and round
     rounds = []  # rounds per pruned component
-    events = []  # "walk", "problem" and ("regroup", one component or None)
+    groups_in_round = [0]
+    # (survivors, load programs built so far) per one-group round whose
+    # survivors form one component
+    summed = []
 
     class CountedProblem(graphs._LimitProblem):
         def __init__(self, *args):
             super().__init__(*args)
             problems.append([self.edge_ids, 0])
-            events.append("problem")
+            groups_in_round[0] += 1
 
     def counted_solve(system):
         problems[-1][1] += 1
@@ -430,7 +433,7 @@ def test_cover_row_pruning_matches_forced_edge_reference(monkeypatch):
 
     def counted_walk(*args, walk=graphs._zero_diff_component_walk):
         rounds.append(1)  # round 1 prunes the component as one group
-        events.append("walk")
+        groups_in_round[0] = 0
         inside.append(True)
         try:
             return walk(*args)
@@ -443,8 +446,9 @@ def test_cover_row_pruning_matches_forced_edge_reference(monkeypatch):
         found = groups(graph, edge_ids)
         if inside:
             rounds[-1] += 1
-            events.append(("regroup", sorted(edge_ids)
-                           if found == [sorted(edge_ids)] else None))
+            if groups_in_round[0] == 1 and found == [sorted(edge_ids)]:
+                summed.append((found[0], len(problems)))
+            groups_in_round[0] = 0
         return found
 
     monkeypatch.setattr(graphs, "_LimitProblem", CountedProblem)
@@ -459,11 +463,11 @@ def test_cover_row_pruning_matches_forced_edge_reference(monkeypatch):
                             ("d", 1, "b"), ("b", 1, "a"), ("a", 2, "b")])
     rng = random.Random(83)
     arenas = [fixed] + [random_pruning_arena(rng) for _ in range(150)]
-    exists = multi_round = full = summed = 0
+    exists = multi_round = full = one_component = 0
     for arena in arenas:
         problems.clear()
         rounds.clear()
-        events.clear()
+        summed.clear()
         decision = decide_bounded_path(arena)
         verdict, fixpoint = reference_zero_diff_support(arena)
         assert decision.exists == verdict
@@ -482,18 +486,15 @@ def test_cover_row_pruning_matches_forced_edge_reference(monkeypatch):
                 full += 1
             else:
                 assert solves <= len(survivors) + 2
-        for i, event in enumerate(events):
-            one_group = events[i - 1] == "problem" and (
-                events[i - 2] == "walk" or events[i - 2][0] == "regroup")
-            if event[0] == "regroup" and event[1] and one_group:
-                # its survivors are one component, the reference's
-                # fixpoint, and the decision ends with the round
-                summed += 1
-                assert event[1] == sorted(fixpoint)
-                assert i == len(events) - 1
+        for survivors, built in summed:
+            # the walk follows the reference's fixpoint, and no load
+            # program is built after that round
+            assert survivors == sorted(fixpoint)
+            assert built == len(problems)
+        one_component += len(summed)
         multi_round += max(rounds, default=0) >= 2
     assert 30 <= exists <= 140 and multi_round >= 20 and full >= 30
-    assert summed >= 10
+    assert one_component >= 10
 
 
 def test_full_support_solve_matches_surviving_edges_reference():
